@@ -4,8 +4,8 @@ The package integrates semilinear systems u_t = d lap(u) + F(u) on
 periodic 1D/2D boxes by Fourier collocation: diffusion is applied
 exactly through the diagonal spectral symbol, only the reaction is
 stepped explicitly.  Fixed-step integrating-factor RK4, an embedded
-Cash-Karp 4(5) adaptive variant, and two ETD schemes share one driver;
-a dense-matrix ADI scheme serves as a cost/accuracy baseline.  A small
+Cash-Karp 4(5) adaptive variant, two ETD schemes and a dense-matrix ADI
+cost/accuracy baseline share one run loop.  A small
 model registry carries the benchmark systems, and postprocessing
 covers spectral upsampling, front tracking, and pulse counting.
 """
@@ -13,7 +13,6 @@ covers spectral upsampling, front tracking, and pulse counting.
 from .grid import (
     GridSpec,
     State,
-    apply_laplacian_symbol,
     dealias_mask,
     forward,
     inverse_real,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "State", "make_grid", "forward", "inverse_real",
-    "apply_laplacian_symbol", "dealias_mask", "state_from_physical",
+    "dealias_mask", "state_from_physical",
     "MODELS", "ModelSpec", "get_model", "default_grid", "default_timestep",
     "initial_condition", "cubic_root_u_minus",
     "SCHEMES", "integrate", "StepControl", "RunSummary",

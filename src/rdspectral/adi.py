@@ -8,18 +8,22 @@ grid direction implicitly through the factor [I - (dt/2) d D].  The
 splitting is second order in dt and every step costs dense matrix
 multiplies, so the scheme exists purely as an accuracy and cost
 baseline for square two-dimensional single-species runs.
+
+The scheme runs through the shared run loop, ``integrate(...,
+scheme="adi")``: this module supplies the stepper, which carries the
+physical field and transforms it only for a snapshot or the final
+state.  ``adi_integrate`` is the same run on a caller's DiffMatrix.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import GridSpec, State, state_from_physical
-from .models import ModelSpec, default_grid as _default_grid, get_model, initial_condition
-from .steppers import BLOWUP_LIMIT, BlowUpError, RunSummary, _SnapshotCadence
+from .grid import GridSpec, State
+from .models import ModelSpec, default_grid as _default_grid
+from .steppers import RunSummary, _check_stage, _Counted, _drive, _Stepper
 
 __all__ = ["DiffMatrix", "build_diff_matrix", "adi_step", "adi_integrate"]
 
@@ -110,86 +114,53 @@ def adi_step(u: np.ndarray, reaction, factors: _AdiFactors) -> np.ndarray:
     return (factors.explicit_left @ u_half + half_dt * f_mid) @ factors.implicit_inv_t
 
 
-def _require_square_scalar(model: ModelSpec, grid: GridSpec) -> None:
+def _adi_problem(model: ModelSpec, grid: GridSpec | None = None) -> str | None:
+    """Why the ADI scheme cannot run ``model`` on ``grid`` (default: the
+    model's registered grid); None when it can."""
+    if grid is None:
+        grid = _default_grid(model)
     if grid.dims != 2:
-        raise ValueError("the ADI scheme is two-dimensional only")
+        return "the ADI scheme is two-dimensional only"
     if grid.n[0] != grid.n[1] or grid.half_length[0] != grid.half_length[1]:
-        raise ValueError("the ADI scheme needs a square grid")
+        return "the ADI scheme needs a square grid"
     if model.species != 1:
-        raise ValueError(
-            f"the ADI scheme handles single-species models, {model.name} has {model.species}"
-        )
+        return f"the ADI scheme handles single-species models, {model.name} has {model.species}"
+    return None
+
+
+def _adi_stepper(spec: ModelSpec, grid: GridSpec, p, dt: float,
+                 diff: DiffMatrix | None = None) -> _Stepper:
+    """adi_step as a stepper of the shared run loop.  It returns no uhat, so
+    a step costs no transform; the seconds spent in the dense half-step
+    algebra, the dominant per-step cost, become the run's dense_time."""
+    problem = _adi_problem(spec, grid)
+    if problem:
+        raise ValueError(problem)
+    d = spec.diffusivities(p)[0]
+    if diff is None:
+        diff = build_diff_matrix(grid.n[0], grid.half_length[0])
+    factors = diff.factors(dt, d)
+
+    reaction = _Counted(lambda field: np.asarray(spec.reaction(field[None], p))[0])
+    dense = _Counted(lambda u, fac: adi_step(u, reaction, fac))
+
+    def advance(y, t, h):
+        u = dense(y[0][0], factors if h == dt else diff.factors(h, d))  # own factors if shortened
+        _check_stage(u, t + h, "adi step")
+        return (u[None], None), h
+    return _Stepper(advance, reaction, dense=dense)
 
 
 def adi_integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
                   dt: float, t_final: float, snap_every: float | None = None,
                   sink=None, params=None, initial_state: State | None = None,
                   diff: DiffMatrix | None = None) -> RunSummary:
-    """Drive the ADI scheme to t_final; mirrors steppers.integrate.
+    """``integrate(..., scheme="adi")`` on a prebuilt ``diff`` matrix.
 
-    The summary's ``dense_time`` records the seconds spent inside the
-    dense half-step algebra, the dominant per-step cost.
+    Passing the same DiffMatrix to several runs reuses its memoized step
+    factors.  The summary's ``dense_time`` records the seconds spent
+    inside the dense half-step algebra.
     """
-    spec = get_model(model) if isinstance(model, str) else model
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if grid is None:
-        grid = _default_grid(spec)
-    _require_square_scalar(spec, grid)
-    p = spec.params(params)
-    d = spec.diffusivities(p)[0]
-    if diff is None:
-        diff = build_diff_matrix(grid.n[0], grid.half_length[0])
-    factors = diff.factors(dt, d)
-
-    state = initial_state
-    if state is None:
-        state = initial_condition(spec, grid, p)
-    t0 = state.t
-    eps = 1e-9 * max(1.0, abs(t_final), abs(t0))
-    cadence = _SnapshotCadence(snap_every, sink, t0)
-    cadence.emit(state)
-
-    nfev = 0
-
-    def reaction(field):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(spec.reaction(field[None], p))[0]
-
-    started = time.perf_counter()
-    dense_time = 0.0
-    steps = 0
-    u = state.u[0]
-    t = t0
-    try:
-        while t < t_final - eps:
-            step_dt = min(dt, t_final - t)
-            if step_dt < dt - eps:           # shortened final step: own factors
-                fac = diff.factors(step_dt, d)
-            else:
-                step_dt, fac = dt, factors
-            tick = time.perf_counter()
-            u = adi_step(u, reaction, fac)
-            dense_time += time.perf_counter() - tick
-            steps += 1
-            t = t0 + steps * dt if step_dt == dt else t_final
-            peak = np.max(np.abs(u))
-            if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
-                raise BlowUpError(t, float(peak), "adi step")
-            if cadence.next is not None and t + eps >= cadence.next:
-                state = state_from_physical(grid, [u], t)
-                cadence.after_step(state, eps)
-    except BlowUpError as err:
-        raise BlowUpError(err.t, err.max_abs, f"{spec.name} via adi") from None
-
-    state = state_from_physical(grid, [u], t)
-    cadence.finish(state)
-    return RunSummary(
-        model=spec.name, scheme="adi", t_end=state.t, steps=steps,
-        accepted=steps, rejected=0, reaction_evals=nfev,
-        wall_time=time.perf_counter() - started, final_state=state,
-        dense_time=dense_time,
-    )
+    return _drive(model, grid, params, "adi",
+                  lambda spec, grid, p: _adi_stepper(spec, grid, p, dt, diff),
+                  initial_state, t_final, dt, snap_every, sink)

@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .adi import adi_integrate
+from .adi import _adi_problem
 from .grid import make_grid, state_from_physical
 from .harness import convergence_study
 from .models import MODELS, default_timestep, get_model
 from .postprocess import fourier_upsample_1d, fourier_upsample_2d
-from .runio import (ALL_SCHEMES, ConfigError, RunConfig, RunWriter, load_config,
-                    load_snapshot, read_header, read_index)
-from .steppers import BlowUpError, StepControl, StepSizeError, integrate
+from .runio import (ConfigError, RunConfig, RunWriter, load_config, load_snapshot,
+                    read_header, read_index)
+from .steppers import SCHEMES, BlowUpError, StepControl, StepSizeError, integrate
 
 __all__ = ["main"]
 
@@ -104,23 +104,14 @@ def _cmd_run(args) -> int:
     out = Path(cfg.out) if cfg.out else Path("runs") / cfg.model
     writer = RunWriter(out, grid, cfg.model, spec.species,
                        config=cfg, snap_every=cfg.snap_every)
+    control = None
+    if cfg.scheme == "ck45":
+        control = StepControl(dt=cfg.dt if cfg.dt is not None else 0.1,
+                              rel_tol=cfg.rel_tol if cfg.rel_tol is not None else 1e-4)
     try:
-        if cfg.scheme == "adi":
-            summary = adi_integrate(spec, grid, dt=cfg.resolved_dt(),
-                                    t_final=cfg.t_final, params=cfg.params,
-                                    snap_every=cfg.snap_every, sink=writer)
-        elif cfg.scheme == "ck45":
-            control = StepControl(dt=cfg.dt if cfg.dt is not None else 0.1,
-                                  rel_tol=cfg.rel_tol if cfg.rel_tol is not None else 1e-4)
-            summary = integrate(spec, grid, scheme="ck45", t_final=cfg.t_final,
-                                control=control, params=cfg.params,
-                                dealias=cfg.dealias, snap_every=cfg.snap_every,
-                                sink=writer)
-        else:
-            summary = integrate(spec, grid, scheme=cfg.scheme,
-                                t_final=cfg.t_final, dt=cfg.resolved_dt(),
-                                params=cfg.params, dealias=cfg.dealias,
-                                snap_every=cfg.snap_every, sink=writer)
+        summary = integrate(spec, grid, scheme=cfg.scheme, t_final=cfg.t_final,
+                            dt=cfg.resolved_dt(), control=control, params=cfg.params,
+                            dealias=cfg.dealias, snap_every=cfg.snap_every, sink=writer)
     except (BlowUpError, StepSizeError) as err:
         status = "blowup" if isinstance(err, BlowUpError) else "stepfail"
         writer.finish(None, status=status, detail=str(err))
@@ -143,17 +134,19 @@ def _cmd_compare(args) -> int:
                         f"{', '.join(sorted(MODELS))}")
     schemes = tuple(args.scheme) if args.scheme else ("rk4", "etdrk4", "etdrk4b")
     for scheme in schemes + (args.gold_scheme,):
-        if scheme not in ALL_SCHEMES:
+        if scheme not in SCHEMES:
             problems.append(f"unknown scheme {scheme!r}; valid schemes: "
-                            f"{', '.join(ALL_SCHEMES)}")
+                            f"{', '.join(SCHEMES)}")
     if not args.dt:
         problems.append("at least one --dt is required")
     elif any(dt <= 0 for dt in args.dt):
         problems.append("every --dt must be positive")
     if args.t_final is None or args.t_final < 0:
         problems.append("--t-final is required and must be nonnegative")
-    if ("adi" in schemes or args.gold_scheme == "adi") and args.model != "fisher2d":
-        problems.append("scheme adi is valid only with model fisher2d")
+    if "adi" in schemes + (args.gold_scheme,) and args.model in MODELS:
+        problem = _adi_problem(get_model(args.model))
+        if problem:
+            problems.append(f"scheme adi cannot run model {args.model}: {problem}")
     if args.model in MODELS and params:
         try:
             get_model(args.model).params(params)

@@ -19,7 +19,6 @@ __all__ = [
     "make_grid",
     "forward",
     "inverse_real",
-    "apply_laplacian_symbol",
     "dealias_mask",
     "state_from_physical",
 ]
@@ -150,15 +149,6 @@ def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
     spectral = np.asarray(spectral)
     _check_field(grid, spectral)
     return np.fft.ifftn(spectral, axes=grid.axes).real
-
-
-def apply_laplacian_symbol(grid: GridSpec, spectral: np.ndarray, diffusivity: float = 1.0) -> np.ndarray:
-    """Multiply a spectral field by -d * omega_sq (diffusion symbol)."""
-    if diffusivity < 0:
-        raise ValueError(f"diffusivity must be nonnegative, got {diffusivity}")
-    spectral = np.asarray(spectral)
-    _check_field(grid, spectral)
-    return (-diffusivity) * grid.omega_sq * spectral
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:

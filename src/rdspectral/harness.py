@@ -15,11 +15,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .adi import adi_integrate, build_diff_matrix
 from .grid import GridSpec, State
 from .models import ModelSpec, default_grid, get_model, initial_condition
 from .postprocess import max_abs_error
-from .steppers import StepControl, integrate
+from .steppers import BlowUpError, StepControl, StepSizeError, integrate
 
 __all__ = ["ConvergenceStudy", "convergence_study", "fit_slope"]
 
@@ -62,19 +61,12 @@ class ConvergenceStudy:
 
 def _final_fields(spec: ModelSpec, grid: GridSpec, scheme: str, dt: float,
                   t_final: float, params, start: State, dealias: bool):
-    if scheme == "adi":
-        summary = adi_integrate(spec, grid, dt=dt, t_final=t_final,
-                                params=params, initial_state=start)
-    elif scheme == "ck45":
-        # the adaptive scheme's accuracy knob is its tolerance, so that is
-        # what the sweep varies; the starting step is the controller default
-        control = StepControl(rel_tol=dt)
-        summary = integrate(spec, grid, scheme=scheme, t_final=t_final,
-                            control=control, params=params, dealias=dealias,
-                            initial_state=start)
-    else:
-        summary = integrate(spec, grid, scheme=scheme, t_final=t_final, dt=dt,
-                            params=params, dealias=dealias, initial_state=start)
+    # the adaptive scheme's accuracy knob is its tolerance, so that is what
+    # the sweep varies; the starting step is the controller default
+    control = StepControl(rel_tol=dt) if scheme == "ck45" else None
+    summary = integrate(spec, grid, scheme=scheme, t_final=t_final, dt=dt,
+                        control=control, params=params, dealias=dealias,
+                        initial_state=start)
     return summary.final_state.u
 
 
@@ -87,7 +79,8 @@ def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
     against the gold run.
 
     A blow-up in the gold run propagates and aborts the study; a blow-up
-    in a member run records an infinite error and the sweep continues.
+    or step failure in a member run records an infinite error and the
+    sweep continues.  Any other exception propagates.
     """
     spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
@@ -107,7 +100,7 @@ def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
                 fields = _final_fields(spec, grid, scheme, dt, t_final,
                                        params, start, dealias)
                 row.append(max_abs_error(fields, gold))
-            except Exception:  # member blow-up or step failure: keep sweeping
+            except (BlowUpError, StepSizeError):  # member blow-up or step failure
                 row.append(math.inf)
         errors[scheme] = tuple(row)
     slopes = {scheme: fit_slope(dts, errors[scheme]) for scheme in schemes}

@@ -28,8 +28,8 @@ import numpy as np
 
 from .grid import GridSpec, State, make_grid
 from .models import MODELS, default_timestep, get_model
+from .adi import _adi_problem
 from .steppers import SCHEMES, RunSummary
-
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -43,8 +43,6 @@ __all__ = [
     "iter_snapshots",
     "write_snapshot_file",
 ]
-
-ALL_SCHEMES = SCHEMES + ("adi",)
 
 _CONFIG_KEYS = ("model", "scheme", "n", "L", "dt", "tol", "t_final",
                 "snap_every", "out", "dealias")
@@ -85,9 +83,9 @@ class RunConfig:
         if self.model not in MODELS:
             problems.append(
                 f"unknown model {self.model!r}; valid models: {', '.join(sorted(MODELS))}")
-        if self.scheme not in ALL_SCHEMES:
+        if self.scheme not in SCHEMES:
             problems.append(
-                f"unknown scheme {self.scheme!r}; valid schemes: {', '.join(ALL_SCHEMES)}")
+                f"unknown scheme {self.scheme!r}; valid schemes: {', '.join(SCHEMES)}")
         if self.n is not None and (self.n < 2 or self.n % 2):
             problems.append(f"n must be even and >= 2, got {self.n}")
         if self.half_length is not None and self.half_length <= 0:
@@ -102,8 +100,10 @@ class RunConfig:
             problems.append(f"t_final must be nonnegative, got {self.t_final}")
         if self.snap_every is not None and self.snap_every <= 0:
             problems.append(f"snap_every must be positive, got {self.snap_every}")
-        if self.scheme == "adi" and self.model != "fisher2d":
-            problems.append("scheme adi is valid only with model fisher2d")
+        if self.scheme == "adi" and self.model in MODELS:
+            problem = _adi_problem(get_model(self.model))
+            if problem:
+                problems.append(f"scheme adi cannot run model {self.model}: {problem}")
         if self.model in MODELS and self.params:
             try:
                 get_model(self.model).params(self.params)

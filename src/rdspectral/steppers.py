@@ -1,16 +1,23 @@
 """Integrating-factor and exponential time-differencing steppers.
 
 All schemes treat the diffusion term exactly through the diagonal
-spectral symbol L = -d * omega_sq and step only the reaction explicitly:
+spectral symbol L = -d * omega_sq and step only the reaction explicitly.
+Each is an exponential Runge-Kutta method (Hochbruck & Ostermann, Acta
+Numerica 19, 2010): every stage and output is E U + sum_j A_j N(u_j) with
+N(u) = mask * FFT(F(u)), E an exponential of L dt and the A_j phi
+combinations (ETD) or exponentials (integrating factor).  A scheme is its
+coefficient data, and one stage loop runs them all:
 
 * ``rk4``      classical four-stage Runge-Kutta on the transformed
                variable, with the stage exponentials folded in so only
                decaying factors ever appear;
 * ``ck45``     embedded Cash-Karp 4(5) pair in the same integrating-factor
-               form, driving an adaptive step controller;
+               form; its two output rows drive an adaptive step controller;
 * ``etdrk4``   four-stage ETD scheme with a split-step third stage;
 * ``etdrk4b``  four-stage ETD scheme with all stages anchored at the
                current time level (better constants on stiff problems).
+
+``integrate`` is the one time loop; it also runs the ADI baseline of adi.py.
 
 The phi coefficient functions are evaluated by the direct formulas away
 from the origin and by a contour mean near it, where the formulas lose
@@ -27,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import grid as spectral
-from .grid import GridSpec, State
+from .grid import GridSpec, State, state_from_physical
 from .models import ModelSpec, default_grid as _default_grid, get_model, initial_condition
 
 __all__ = [
@@ -189,12 +196,116 @@ def build_exp_tables(symbol: LinearSymbol, dt: float) -> ExpTables:
     return symbol.tables(dt)
 
 
-def _require_tables(tables: ExpTables, dt: float) -> None:
+# -- the exponential Runge-Kutta stage loop ---------------------------------------
+
+class _Counted:
+    """A function that counts its calls (``calls``) and the seconds spent in them."""
+
+    def __init__(self, fn: Callable):
+        self.fn, self.calls, self.seconds = fn, 0, 0.0
+
+    def __call__(self, *args):
+        self.calls += 1
+        tick = time.perf_counter()
+        out = self.fn(*args)
+        self.seconds += time.perf_counter() - tick
+        return out
+
+
+def _spectral_reaction(model: ModelSpec, grid: GridSpec, p: Mapping[str, float],
+                       mask: np.ndarray | None) -> _Counted:
+    """N(u) = mask * FFT(F(u)), counted."""
+    def N(u):
+        Nu = spectral.forward(grid, model.reaction(u, p))
+        return Nu if mask is None else mask * Nu
+    return _Counted(N)
+
+
+def _exp_rk_step(N, grid: GridSpec, u: np.ndarray, U: np.ndarray, t: float, dt: float,
+                 tableau, label: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One exponential Runge-Kutta step from u (U = FFT u) at time t.
+
+    ``tableau`` is (stage rows, output rows); a row (E, terms) stands for
+    E U + sum_j A_j N(stage j), stage 0 being u, and a term (j, f1, f2, ...)
+    evaluates A_j N_j as f2 * (f1 * N_j).  Every stage and output passes
+    the blow-up check.  Returns the (u, U) pair of each output row.
+    """
+    stages, outputs = tableau
+    Ns, out = [N(u)], []
+    for i, (E, terms) in enumerate(stages + outputs):
+        acc = E * U
+        term = np.empty_like(acc)  # one work array: fresh temporaries per term cost more
+        for j, f, *more in terms:
+            np.multiply(f, Ns[j], out=term)
+            for g in more:
+                term *= g
+            acc += term
+        u_i = spectral.inverse_real(grid, acc)
+        if i < len(stages):
+            _check_stage(u_i, t, f"{label} stage {i + 2}")
+            Ns.append(N(u_i))
+        else:
+            _check_stage(u_i, t + dt, f"{label} update")
+            out.append((u_i, acc))
+    return out
+
+
+# -- fixed-step schemes as coefficient data ----------------------------------------
+
+def _rk4_tableau(tb: ExpTables):
+    # classical RK4 on exp(-L t) U with k_j = dt N_j:
+    # u2 = E_h (U + k1/2), u3 = E_h U + k2/2, u4 = E U + E_h k3
+    dt, E, Eh = tb.dt, tb.e_full, tb.e_half
+    third = (dt / 3.0) * Eh
+    stages = ((Eh, ((0, (0.5 * dt) * Eh),)),
+              (Eh, ((1, 0.5 * dt),)),
+              (E, ((2, dt * Eh),)))
+    update = (E, ((0, (dt / 6.0) * E), (1, third), (2, third), (3, dt / 6.0)))
+    return stages, (update,)
+
+
+def _etd_update(tb: ExpTables):
+    w = tb.stage_weights
+    middle = tb.dt * w["update23"]
+    return (tb.e_full, ((0, tb.dt * w["update1"]), (1, middle), (2, middle),
+                        (3, tb.dt * w["update4"])))
+
+
+def _etdrk4_tableau(tb: ExpTables):
+    # the third stage steps from the second-stage value A = E_h U + a N1:
+    # E_h A + a (2 N3 - N1) = E U + a (E_h - 1) N1 + 2 a N3
+    Eh = tb.e_half
+    a = (0.5 * tb.dt) * tb.phi0_half
+    stages = ((Eh, ((0, a),)),
+              (Eh, ((1, a),)),
+              (tb.e_full, ((0, a * (Eh - 1.0)), (2, 2.0 * a))))
+    return stages, (_etd_update(tb),)
+
+
+def _etdrk4b_tableau(tb: ExpTables):
+    dt, w, Eh = tb.dt, tb.stage_weights, tb.e_half
+    stages = ((Eh, ((0, (0.5 * dt) * tb.phi0_half),)),
+              (Eh, ((0, (0.5 * dt) * w["half_a"]), (1, dt * tb.phi1_half))),
+              (tb.e_full, ((0, dt * w["full_a"]), (2, (2.0 * dt) * tb.phi1_full))))
+    return stages, (_etd_update(tb),)
+
+
+_TABLEAUS: dict[str, Callable] = {
+    "rk4": _rk4_tableau,
+    "etdrk4": _etdrk4_tableau,
+    "etdrk4b": _etdrk4b_tableau,
+}
+
+
+def _fixed_step(scheme: str, state: State, model: ModelSpec, grid: GridSpec,
+                tables: ExpTables, dt: float, params, mask) -> State:
     if tables.dt != dt:
         raise ValueError(f"tables were built for dt={tables.dt}, step asked for dt={dt}")
+    N = _spectral_reaction(model, grid, model.params(params), mask)
+    [(u, U)] = _exp_rk_step(N, grid, state.u, state.uhat, state.t, dt,
+                            _TABLEAUS[scheme](tables), scheme)
+    return State(t=state.t + dt, u=u, uhat=U)
 
-
-# -- fixed-step schemes ----------------------------------------------------------
 
 def if_rk4_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTables,
                 dt: float, params: Mapping[str, float] | None = None,
@@ -204,153 +315,63 @@ def if_rk4_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTable
     Costs exactly 4 reaction evaluations and 4 forward / 4 inverse
     transforms of the species stack.
     """
-    _require_tables(tables, dt)
-    p = model.params(params)
-    E, E2 = tables.e_half, tables.e_full
-    U = state.uhat
-    t = state.t
-
-    k1 = dt * spectral.forward(grid, model.reaction(state.u, p))
-    if mask is not None:
-        k1 = k1 * mask
-    u2 = spectral.inverse_real(grid, E * (U + 0.5 * k1))
-    _check_stage(u2, t, "rk4 stage 2")
-    k2 = dt * spectral.forward(grid, model.reaction(u2, p))
-    if mask is not None:
-        k2 = k2 * mask
-    u3 = spectral.inverse_real(grid, E * U + 0.5 * k2)
-    _check_stage(u3, t, "rk4 stage 3")
-    k3 = dt * spectral.forward(grid, model.reaction(u3, p))
-    if mask is not None:
-        k3 = k3 * mask
-    u4 = spectral.inverse_real(grid, E2 * U + E * k3)
-    _check_stage(u4, t, "rk4 stage 4")
-    k4 = dt * spectral.forward(grid, model.reaction(u4, p))
-    if mask is not None:
-        k4 = k4 * mask
-
-    U_new = E2 * U + (E2 * k1 + 2.0 * (E * (k2 + k3)) + k4) / 6.0
-    u_new = spectral.inverse_real(grid, U_new)
-    _check_stage(u_new, t + dt, "rk4 update")
-    return State(t=t + dt, u=u_new, uhat=U_new)
+    return _fixed_step("rk4", state, model, grid, tables, dt, params, mask)
 
 
 def etdrk4b_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTables,
                  dt: float, params: Mapping[str, float] | None = None,
                  mask: np.ndarray | None = None) -> State:
     """One ETDRK4 step with every stage anchored at the current time level."""
-    _require_tables(tables, dt)
-    p = model.params(params)
-    E, Eh = tables.e_full, tables.e_half
-    w = tables.stage_weights
-    U = state.uhat
-    t = state.t
-
-    N1 = spectral.forward(grid, model.reaction(state.u, p))
-    if mask is not None:
-        N1 = N1 * mask
-    u2 = spectral.inverse_real(grid, Eh * U + (0.5 * dt) * (tables.phi0_half * N1))
-    _check_stage(u2, t, "etdrk4b stage 2")
-    N2 = spectral.forward(grid, model.reaction(u2, p))
-    if mask is not None:
-        N2 = N2 * mask
-    u3 = spectral.inverse_real(
-        grid, Eh * U + (0.5 * dt) * (w["half_a"] * N1) + dt * (tables.phi1_half * N2))
-    _check_stage(u3, t, "etdrk4b stage 3")
-    N3 = spectral.forward(grid, model.reaction(u3, p))
-    if mask is not None:
-        N3 = N3 * mask
-    u4 = spectral.inverse_real(
-        grid, E * U + dt * (w["full_a"] * N1) + (2.0 * dt) * (tables.phi1_full * N3))
-    _check_stage(u4, t, "etdrk4b stage 4")
-    N4 = spectral.forward(grid, model.reaction(u4, p))
-    if mask is not None:
-        N4 = N4 * mask
-
-    U_new = E * U + dt * (w["update1"] * N1 + w["update23"] * (N2 + N3) + w["update4"] * N4)
-    u_new = spectral.inverse_real(grid, U_new)
-    _check_stage(u_new, t + dt, "etdrk4b update")
-    return State(t=t + dt, u=u_new, uhat=U_new)
+    return _fixed_step("etdrk4b", state, model, grid, tables, dt, params, mask)
 
 
 def etdrk4_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTables,
                 dt: float, params: Mapping[str, float] | None = None,
                 mask: np.ndarray | None = None) -> State:
     """One ETDRK4 step in the original four-stage form (split-step stage 3)."""
-    _require_tables(tables, dt)
-    p = model.params(params)
-    E, Eh = tables.e_full, tables.e_half
-    w = tables.stage_weights
-    U = state.uhat
-    t = state.t
-
-    N1 = spectral.forward(grid, model.reaction(state.u, p))
-    if mask is not None:
-        N1 = N1 * mask
-    A = Eh * U + (0.5 * dt) * (tables.phi0_half * N1)
-    ua = spectral.inverse_real(grid, A)
-    _check_stage(ua, t, "etdrk4 stage 2")
-    N2 = spectral.forward(grid, model.reaction(ua, p))
-    if mask is not None:
-        N2 = N2 * mask
-    ub = spectral.inverse_real(grid, Eh * U + (0.5 * dt) * (tables.phi0_half * N2))
-    _check_stage(ub, t, "etdrk4 stage 3")
-    N3 = spectral.forward(grid, model.reaction(ub, p))
-    if mask is not None:
-        N3 = N3 * mask
-    # split step: the exponential acts on the second-stage value, not on U
-    uc = spectral.inverse_real(grid, Eh * A + (0.5 * dt) * (tables.phi0_half * (2.0 * N3 - N1)))
-    _check_stage(uc, t, "etdrk4 stage 4")
-    N4 = spectral.forward(grid, model.reaction(uc, p))
-    if mask is not None:
-        N4 = N4 * mask
-
-    U_new = E * U + dt * (w["update1"] * N1 + w["update23"] * (N2 + N3) + w["update4"] * N4)
-    u_new = spectral.inverse_real(grid, U_new)
-    _check_stage(u_new, t + dt, "etdrk4 update")
-    return State(t=t + dt, u=u_new, uhat=U_new)
+    return _fixed_step("etdrk4", state, model, grid, tables, dt, params, mask)
 
 
 # -- embedded Cash-Karp 4(5) pair -------------------------------------------------
 
 _CK_A = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
-_CK_B = {
-    (1, 0): 1.0 / 5.0,
-    (2, 0): 3.0 / 40.0, (2, 1): 9.0 / 40.0,
-    (3, 0): 3.0 / 10.0, (3, 1): -9.0 / 10.0, (3, 2): 6.0 / 5.0,
-    (4, 0): -11.0 / 54.0, (4, 1): 5.0 / 2.0, (4, 2): -70.0 / 27.0, (4, 3): 35.0 / 27.0,
-    (5, 0): 1631.0 / 55296.0, (5, 1): 175.0 / 512.0, (5, 2): 575.0 / 13824.0,
-    (5, 3): 44275.0 / 110592.0, (5, 4): 253.0 / 4096.0,
-}
+_CK_B = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
+    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
+    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0),
+)
 _CK_FIFTH = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
 _CK_FOURTH = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
               277.0 / 14336.0, 1.0 / 4.0)
 
 
-def _ck_thetas() -> set[float]:
-    thetas = {1.0}
-    for i in range(1, 6):
-        thetas.add(_CK_A[i])
-    for (i, j) in _CK_B:
-        thetas.add(_CK_A[i] - _CK_A[j])
-    for j in range(6):
-        if _CK_FIFTH[j] != 0.0 or _CK_FOURTH[j] != 0.0:
-            thetas.add(1.0 - _CK_A[j])
-    return thetas
+def _ck45_tableau(symbol: LinearSymbol, dt: float):
+    """Integrating-factor Cash-Karp over the rates k_j = dt N_j: stage i
+    couples to k_j by b_ij exp((a_i - a_j) L dt), output j by
+    w_j exp((1 - a_j) L dt), evaluated as b * (exp * k) because the
+    controller's step sequence follows the error estimate's rounding.
 
-
-class _CkFactors:
-    """exp(theta * L * dt) for every stage offset theta the tableau needs.
-
-    The (6, 5) coupling has a_6 < a_5, so one factor grows with |L| dt;
-    its exponent is clamped so that a vanishing reaction still yields an
+    The (5, 4) coupling has a_5 < a_4, so one factor grows with |L| dt;
+    exponents are clamped so that a vanishing reaction still yields an
     exact pure-diffusion step instead of inf * 0.
     """
+    z = symbol.values * dt
+    ex: dict[float, np.ndarray] = {}
 
-    def __init__(self, symbol: LinearSymbol, dt: float):
-        self.dt = dt
-        base = symbol.values * dt
-        self.exp = {th: np.exp(np.minimum(th * base, _EXP_CLAMP)) for th in _ck_thetas()}
+    def e(theta):
+        if theta not in ex:
+            ex[theta] = np.exp(np.minimum(theta * z, _EXP_CLAMP))
+        return ex[theta]
+
+    stages = tuple((e(a_i), tuple((j, e(a_i - _CK_A[j]), b) for j, b in enumerate(row)))
+                   for a_i, row in zip(_CK_A[1:], _CK_B[1:]))
+    outputs = tuple((e(1.0), tuple((j, e(1.0 - a_j), w)
+                                   for j, (w, a_j) in enumerate(zip(weights, _CK_A)) if w))
+                    for weights in (_CK_FIFTH, _CK_FOURTH))
+    return stages, outputs
 
 
 @dataclass
@@ -364,18 +385,35 @@ class StepControl:
     dt_max: float = 5.0
     accepted: int = 0
     rejected: int = 0
-    _factors: _CkFactors | None = dc_field(default=None, repr=False)
-    _factors_key: tuple | None = dc_field(default=None, repr=False)
 
 
-def _ck_factors(control: StepControl, model: ModelSpec, grid: GridSpec,
-                p: Mapping[str, float], dt: float) -> _CkFactors:
-    diffs = model.diffusivities(p)
-    key = (id(grid), diffs, dt)
-    if control._factors_key != key:
-        control._factors = _CkFactors(linear_symbol(grid, diffs), dt)
-        control._factors_key = key
-    return control._factors
+def _ck45_attempt(N, grid: GridSpec, symbol: LinearSymbol, control: StepControl,
+                  y: tuple[np.ndarray, np.ndarray], t: float):
+    """One Cash-Karp attempt from y = (u, uhat) at control.dt, clamped to
+    its bounds.  Returns (new y, or None on rejection; the dt tried; the
+    scaled error) and leaves the next proposal in control.dt."""
+    dt = min(max(control.dt, control.dt_min), control.dt_max)
+    try:
+        (u5, U5), (u4, _) = _exp_rk_step(lambda v: dt * N(v), grid, *y, t, dt,
+                                         _ck45_tableau(symbol, dt), "ck45")
+        scale = control.rel_tol * (np.abs(y[0]) + ERROR_FLOOR)
+        err = float(np.max(np.abs(u5 - u4) / scale))
+    except BlowUpError:  # a runaway stage rejects the attempt
+        err = np.inf
+
+    if err <= 1.0:
+        factor = 5.0 if err == 0.0 else min(5.0, control.safety * err ** -0.2)
+        control.dt = min(max(dt * factor, control.dt_min), control.dt_max)
+        control.accepted += 1
+        return (u5, U5), dt, err
+    shrink = 0.1 if not np.isfinite(err) else max(0.1, control.safety * err ** -0.25)
+    proposal = dt * shrink
+    if proposal < control.dt_min and dt <= control.dt_min:
+        raise StepSizeError(
+            f"step rejected at dt_min={control.dt_min:g} (t={t:.6g}, scaled error {err:.3g})")
+    control.dt = min(max(proposal, control.dt_min), control.dt_max)
+    control.rejected += 1
+    return None, dt, err
 
 
 def if_ck45_step(state: State, model: ModelSpec, grid: GridSpec, control: StepControl,
@@ -390,77 +428,17 @@ def if_ck45_step(state: State, model: ModelSpec, grid: GridSpec, control: StepCo
     the one advanced.
     """
     p = model.params(params)
-    dt = min(max(control.dt, control.dt_min), control.dt_max)
-    fac = _ck_factors(control, model, grid, p, dt)
-    ex = fac.exp
-    U = state.uhat
-    t = state.t
-
-    ks: list[np.ndarray] = []
-    u_stage = state.u
-    finite = True
-    for i in range(6):
-        if i > 0:
-            acc = ex[_CK_A[i]] * U
-            for j in range(i):
-                b = _CK_B.get((i, j), 0.0)
-                if b != 0.0:
-                    acc = acc + b * (ex[_CK_A[i] - _CK_A[j]] * ks[j])
-            u_stage = spectral.inverse_real(grid, acc)
-            mstage = np.max(np.abs(u_stage))
-            if not np.isfinite(mstage) or mstage > BLOWUP_LIMIT:
-                finite = False
-                break
-        k = dt * spectral.forward(grid, model.reaction(u_stage, p))
-        if mask is not None:
-            k = k * mask
-        ks.append(k)
-
-    if finite:
-        U5 = ex[1.0] * U
-        U4 = ex[1.0] * U
-        for j in range(6):
-            w5, w4 = _CK_FIFTH[j], _CK_FOURTH[j]
-            if w5 != 0.0 or w4 != 0.0:
-                term = ex[1.0 - _CK_A[j]] * ks[j]
-                if w5 != 0.0:
-                    U5 = U5 + w5 * term
-                if w4 != 0.0:
-                    U4 = U4 + w4 * term
-        u5 = spectral.inverse_real(grid, U5)
-        u4 = spectral.inverse_real(grid, U4)
-        scale = control.rel_tol * (np.abs(state.u) + ERROR_FLOOR)
-        err = float(np.max(np.abs(u5 - u4) / scale))
-        finite = np.isfinite(err) and np.isfinite(np.max(np.abs(u5)))
-
-    if not finite:
-        err = np.inf
-
-    if err <= 1.0:
-        factor = 5.0 if err == 0.0 else min(5.0, control.safety * err ** -0.2)
-        control.dt = min(max(dt * factor, control.dt_min), control.dt_max)
-        control.accepted += 1
-        new_state = State(t=t + dt, u=u5, uhat=U5)
-        return new_state, True, err
-    shrink = 0.1 if not np.isfinite(err) else max(0.1, control.safety * err ** -0.25)
-    proposal = dt * shrink
-    if proposal < control.dt_min and dt <= control.dt_min:
-        raise StepSizeError(
-            f"step rejected at dt_min={control.dt_min:g} (t={t:.6g}, scaled error {err:.3g})")
-    control.dt = min(max(proposal, control.dt_min), control.dt_max)
-    control.rejected += 1
-    return state, False, err
+    new, dt, err = _ck45_attempt(_spectral_reaction(model, grid, p, mask), grid,
+                                 linear_symbol(grid, model.diffusivities(p)), control,
+                                 (state.u, state.uhat), state.t)
+    if new is None:
+        return state, False, err
+    return State(t=state.t + dt, u=new[0], uhat=new[1]), True, err
 
 
-# -- run driver -------------------------------------------------------------------
+# -- the run loop ---------------------------------------------------------------
 
-_FIXED_STEPPERS: dict[str, Callable] = {
-    "rk4": if_rk4_step,
-    "etdrk4": etdrk4_step,
-    "etdrk4b": etdrk4b_step,
-}
-
-SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b")
+SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b", "adi")
 
 
 @dataclass
@@ -478,51 +456,16 @@ class RunSummary:
     dense_time: float = 0.0
 
 
-class _CountingModel:
-    """Delegating wrapper that counts reaction evaluations."""
+@dataclass
+class _Stepper:
+    """A scheme as the run loop sees it.  ``advance(y, t, h)`` steps the
+    (u, uhat) pair y and returns (new y or None on a rejected attempt,
+    step taken); ``reaction`` counts the reaction evaluations."""
 
-    def __init__(self, spec: ModelSpec):
-        self._spec = spec
-        self.name = spec.name
-        self.species = spec.species
-        self.nfev = 0
-
-    def params(self, overrides=None):
-        return self._spec.params(overrides)
-
-    def diffusivities(self, p):
-        return self._spec.diffusivities(p)
-
-    def reaction(self, u, p):
-        self.nfev += 1
-        return self._spec.reaction(u, p)
-
-
-class _SnapshotCadence:
-    def __init__(self, snap_every: float | None, sink: Callable | None, t0: float):
-        self.every = snap_every
-        self.sink = sink
-        self.last_emitted = None
-        if snap_every is not None and snap_every <= 0:
-            raise ValueError(f"snapshot cadence must be positive, got {snap_every}")
-        self.next = (t0 + snap_every) if snap_every is not None else None
-
-    def emit(self, state: State) -> None:
-        if self.sink is not None:
-            self.sink(state)
-        self.last_emitted = state.t
-
-    def after_step(self, state: State, eps: float) -> None:
-        if self.next is None:
-            return
-        if state.t + eps >= self.next:
-            self.emit(state)
-            while self.next <= state.t + eps:
-                self.next += self.every
-
-    def finish(self, state: State) -> None:
-        if self.last_emitted is None or state.t > self.last_emitted:
-            self.emit(state)
+    advance: Callable
+    reaction: _Counted
+    control: StepControl | None = None   # set for the adaptive scheme
+    dense: _Counted | None = None        # ADI's dense step; its seconds are dense_time
 
 
 def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
@@ -533,95 +476,124 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
               initial_state: State | None = None) -> RunSummary:
     """Drive a scheme from the model's initial state to t_final.
 
-    Fixed-step schemes take ``dt`` (final partial step shortened to land
-    exactly on t_final); ``ck45`` takes a StepControl.  ``sink`` is
-    called with the initial state, at every crossing of the snapshot
-    cadence, and with the final state.
+    Fixed-step schemes, ``adi`` among them, take ``dt`` (final partial
+    step shortened to land exactly on t_final); ``ck45`` takes a
+    StepControl.  ``dealias`` masks the spectral schemes' reaction term
+    by the 2/3 rule.  ``sink`` is called with the initial state, at every
+    crossing of the snapshot cadence, and with the final state.  A start
+    that is not finite or exceeds the blow-up limit raises BlowUpError.
     """
-    spec = get_model(model) if isinstance(model, str) else model
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
+    if scheme == "ck45":
+        if control is None:
+            raise ValueError("ck45 needs a StepControl (set rel_tol there)")
+    elif dt is None:
+        raise ValueError(f"scheme {scheme!r} needs a fixed dt")
+    elif dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+    def make_stepper(spec, grid, p):
+        if scheme == "adi":
+            from .adi import _adi_stepper  # adi builds on this module
+            return _adi_stepper(spec, grid, p, dt)
+        N = _spectral_reaction(spec, grid, p, spectral.dealias_mask(grid) if dealias else None)
+        symbol = linear_symbol(grid, spec.diffusivities(p))
+        if scheme == "ck45":
+            return _Stepper(lambda y, t, h: _ck45_attempt(N, grid, symbol, control, y, t)[:2],
+                            N, control)
+        tableaus = {dt: _TABLEAUS[scheme](symbol.tables(dt))}
+
+        def advance(y, t, h):
+            if h not in tableaus:  # the shortened final step
+                tableaus[h] = _TABLEAUS[scheme](symbol.tables(h))
+            return _exp_rk_step(N, grid, *y, t, h, tableaus[h], scheme)[0], h
+        return _Stepper(advance, N)
+    return _drive(model, grid, params, scheme, make_stepper, initial_state, t_final, dt,
+                  snap_every, sink)
+
+
+def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
+           make_stepper: Callable[..., _Stepper], state: State | None, t_final: float,
+           dt: float | None, snap_every: float | None, sink) -> RunSummary:
+    """The one time loop, for every scheme; ``make_stepper(spec, grid, p)``
+    builds the scheme once the arguments are checked.  A stepper working
+    in physical space (ADI) returns uhat as None, so the loop transforms
+    only to hand out a State."""
     if t_final < 0:
         raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if snap_every is not None and snap_every <= 0:
+        raise ValueError(f"snapshot cadence must be positive, got {snap_every}")
+    spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
         grid = _default_grid(spec)
     p = spec.params(params)
-    counting = _CountingModel(spec)
-    state = initial_state
+    stepper = make_stepper(spec, grid, p)
     if state is None:
         state = initial_condition(spec, grid, p)
-    mask = spectral.dealias_mask(grid) if dealias else None
-    t0 = state.t
+
+    def as_state(y, t):
+        u, U = y
+        return State(t=t, u=u, uhat=U) if U is not None else state_from_physical(grid, u, t)
+
+    emit = sink if sink is not None else (lambda s: None)
+    control = stepper.control
+    t0 = t = last_emitted = state.t
     eps = 1e-9 * max(1.0, abs(t_final), abs(t0))
-    cadence = _SnapshotCadence(snap_every, sink, t0)
-    cadence.emit(state)
+    next_snap = None if snap_every is None else t0 + snap_every
+    dt_history = None if control is None else []
+    emit(state)
 
     started = time.perf_counter()
-    steps = 0
-    dt_history: list[tuple[float, float]] | None = None
-    accepted0 = control.accepted if control is not None else 0
-    rejected0 = control.rejected if control is not None else 0
-
+    y = (state.u, state.uhat)
+    steps = accepted = 0
     try:
-        if scheme == "ck45":
+        _check_stage(state.u, t0, "initial state")
+        while t < t_final - eps:
+            remaining = t_final - t
             if control is None:
-                raise ValueError("ck45 needs a StepControl (set rel_tol there)")
-            dt_history = []
-            while state.t < t_final - eps:
-                remaining = t_final - state.t
+                h = dt if remaining >= dt - eps else remaining
+            else:
                 proposal = control.dt
-                clamped = min(proposal, remaining)
-                control.dt = clamped
-                new_state, accepted, _ = if_ck45_step(
-                    state, counting, grid, control, params=p, mask=mask)
-                steps += 1
-                if accepted:
-                    dt_history.append((new_state.t, clamped))
-                    state = new_state
-                    # keep the controller's growth proposal, not the endpoint clamp
-                    if clamped < proposal:
-                        control.dt = max(control.dt, min(proposal, control.dt_max))
-                    cadence.after_step(state, eps)
-        else:
-            if dt is None:
-                raise ValueError(f"scheme {scheme!r} needs a fixed dt")
-            if dt <= 0:
-                raise ValueError(f"dt must be positive, got {dt}")
-            step_fn = _FIXED_STEPPERS[scheme]
-            symbol = linear_symbol(grid, spec.diffusivities(p))
-            n_full = int(np.floor((t_final - t0) / dt + 1e-9))
-            remainder = (t_final - t0) - n_full * dt
-            if remainder <= eps:
-                remainder = 0.0
-            tables = symbol.tables(dt)
-            for k in range(n_full):
-                state = step_fn(state, counting, grid, tables, dt, params=p, mask=mask)
+                h = control.dt = min(proposal, remaining)
+            y_new, h_taken = stepper.advance(y, t, h)
+            steps += 1
+            if y_new is None:  # rejected: the controller has shrunk control.dt
+                continue
+            y = y_new
+            accepted += 1
+            if control is None:
                 # pin time arithmetic to multiples of dt to avoid drift
-                state = State(t=t0 + (k + 1) * dt, u=state.u, uhat=state.uhat)
-                steps += 1
-                cadence.after_step(state, eps)
-            if remainder > 0.0:
-                tables_last = symbol.tables(remainder)
-                state = step_fn(state, counting, grid, tables_last, remainder,
-                                params=p, mask=mask)
-                state = State(t=t_final, u=state.u, uhat=state.uhat)
-                steps += 1
-                cadence.after_step(state, eps)
+                t = t0 + accepted * dt if h == dt else t_final
+            else:
+                t += h_taken
+                dt_history.append((t, h))
+                # keep the controller's growth proposal, not the endpoint clamp
+                if h < proposal:
+                    control.dt = max(control.dt, min(proposal, control.dt_max))
+            if next_snap is not None and t + eps >= next_snap:
+                emit(as_state(y, t))
+                last_emitted = t
+                while next_snap <= t + eps:
+                    next_snap += snap_every
     except BlowUpError as exc:
         raise BlowUpError(exc.t, exc.max_abs,
                           f"model={spec.name} scheme={scheme}") from exc
 
     wall = time.perf_counter() - started
-    cadence.finish(state)
+    final = as_state(y, t)
+    if t > last_emitted:
+        emit(final)
     return RunSummary(
         model=spec.name,
         scheme=scheme,
-        t_end=state.t,
+        t_end=t,
         steps=steps,
-        accepted=(control.accepted - accepted0) if scheme == "ck45" else steps,
-        rejected=(control.rejected - rejected0) if scheme == "ck45" else 0,
-        reaction_evals=counting.nfev,
+        accepted=accepted,
+        rejected=steps - accepted,
+        reaction_evals=stepper.reaction.calls,
         wall_time=wall,
-        final_state=state,
+        final_state=final,
         dt_history=dt_history,
+        dense_time=stepper.dense.seconds if stepper.dense is not None else 0.0,
     )

@@ -4,7 +4,7 @@ import pytest
 from rdspectral.adi import adi_integrate, adi_step, build_diff_matrix
 from rdspectral.grid import make_grid, state_from_physical
 from rdspectral.models import get_model
-from rdspectral.steppers import BlowUpError
+from rdspectral.steppers import BlowUpError, integrate
 
 
 def spectral_conjugation_oracle(n, half_length):
@@ -172,6 +172,18 @@ def test_blowup_reported_with_scheme_tag():
                       initial_state=start)
     assert "adi" in str(excinfo.value)
     assert excinfo.value.max_abs > 1e10
+
+
+def test_integrate_dispatches_adi():
+    grid = make_grid(32, 25.0, 2)
+    times = []
+    via_integrate = integrate("fisher2d", grid, scheme="adi", dt=0.1, t_final=1.05,
+                           snap_every=0.5, sink=lambda s: times.append(s.t))
+    direct = adi_integrate("fisher2d", grid, dt=0.1, t_final=1.05)
+    assert np.array_equal(via_integrate.final_state.u, direct.final_state.u)
+    assert via_integrate.scheme == "adi" and via_integrate.steps == direct.steps == 11
+    assert via_integrate.reaction_evals == direct.reaction_evals
+    assert np.allclose(times, [0.0, 0.5, 1.0, 1.05], atol=1e-9)
 
 
 def test_reusing_diff_matrix_across_dts():

@@ -73,7 +73,7 @@ def test_run_reports_all_config_problems(capsys):
     err = capsys.readouterr().err
     assert "n must be even" in err
     assert "t_final is required" in err
-    assert "only with model fisher2d" in err
+    assert "scheme adi cannot run model gray1d" in err
 
 
 def test_run_unknown_scheme_lists_valid_names(capsys):
@@ -172,7 +172,7 @@ def test_compare_validation(capsys):
     rc = main(["compare", "--model", "gray1d", "--scheme", "adi",
                "--dt", "0.1", "--t-final", "1"])
     assert rc == 1
-    assert "only with model fisher2d" in capsys.readouterr().err
+    assert "scheme adi cannot run model gray1d" in capsys.readouterr().err
     rc = main(["compare", "--model", "fisher1d", "--t-final", "1"])
     assert rc == 1
     assert "at least one --dt" in capsys.readouterr().err

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdspectral.grid import (GridSpec, apply_laplacian_symbol, dealias_mask,
-                             forward, inverse_real, make_grid,
-                             state_from_physical)
+from rdspectral.grid import (GridSpec, dealias_mask, forward, inverse_real,
+                             make_grid, state_from_physical)
 
 
 def test_coords_layout():
@@ -81,7 +80,7 @@ def test_laplacian_symbol_on_plane_wave():
     g = make_grid(32, np.pi, 1)
     k = 5
     u = np.sin(k * g.coords[0])
-    lap = inverse_real(g, apply_laplacian_symbol(g, forward(g, u)))
+    lap = inverse_real(g, -1.0 * g.omega_sq * forward(g, u))
     assert np.allclose(lap, -(k ** 2) * u, atol=1e-10)
 
 
@@ -89,14 +88,8 @@ def test_laplacian_symbol_2d_diffusivity():
     g = make_grid(16, np.pi, 2)
     X, Y = g.mesh()
     u = np.cos(2 * X) * np.sin(3 * Y)
-    lap = inverse_real(g, apply_laplacian_symbol(g, forward(g, u), 0.25))
+    lap = inverse_real(g, -0.25 * g.omega_sq * forward(g, u))
     assert np.allclose(lap, -0.25 * 13 * u, atol=1e-10)
-
-
-def test_laplacian_rejects_negative_diffusivity():
-    g = make_grid(8, 1.0, 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        apply_laplacian_symbol(g, forward(g, np.ones(8)), -1.0)
 
 
 def test_dealias_mask_two_thirds_rule():

@@ -1,12 +1,14 @@
 """Convergence-study plumbing: slope fits, sweeps, failure handling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rdspectral.grid import make_grid
 from rdspectral.harness import ConvergenceStudy, convergence_study, fit_slope
+from rdspectral.models import get_model
 
 
 def test_fit_slope_recovers_exact_power_law():
@@ -56,6 +58,23 @@ def test_member_blowup_records_inf_and_sweep_continues():
     assert study.error("rk4", 10.0) == math.inf
     assert math.isfinite(study.error("rk4", 0.5))
     assert math.isnan(study.slopes["rk4"])  # one finite point can't fit
+
+
+def test_member_programming_error_propagates():
+    # only blow-ups and step failures become infinite errors: the gold run
+    # (one rk4 step, four reaction calls) succeeds, the member run raises
+    spec = get_model("fisher1d")
+    calls = []
+
+    def rates(u, p):
+        calls.append(1)
+        if len(calls) > 4:
+            raise TypeError("bad reaction")
+        return spec.rates(u, p)
+    broken = replace(spec, rates=rates)
+    with pytest.raises(TypeError, match="bad reaction"):
+        convergence_study(broken, schemes=("rk4",), dts=(0.25,), t_final=0.5,
+                          grid=make_grid(64, 75.0, 1), gold_scheme="rk4", gold_dt=0.5)
 
 
 def test_gold_blowup_aborts_study():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rdspectral.grid import make_grid
+from rdspectral.models import MODELS
 from rdspectral.runio import (
     ConfigError,
     RunConfig,
@@ -81,8 +82,19 @@ def test_validate_collects_all_field_problems():
 
 def test_validate_adi_requires_fisher2d():
     bad = RunConfig(model="gray1d", scheme="adi", t_final=1.0)
-    assert bad.validate() == ["scheme adi is valid only with model fisher2d"]
+    assert bad.validate() == [
+        "scheme adi cannot run model gray1d: the ADI scheme is two-dimensional only"]
     assert RunConfig(model="fisher2d", scheme="adi", t_final=1.0).validate() == []
+
+
+def test_adi_accepts_exactly_the_2d_single_species_models():
+    # the capability check reads dimension and species count from the registry
+    accepted = {name for name in MODELS
+                if not RunConfig(model=name, scheme="adi", t_final=1.0).validate()}
+    assert accepted == {"fisher2d"}
+    assert RunConfig(model="gray2d", scheme="adi", t_final=1.0).validate() == [
+        "scheme adi cannot run model gray2d: "
+        "the ADI scheme handles single-species models, gray2d has 2"]
 
 
 def test_validate_checks_model_params():

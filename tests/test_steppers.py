@@ -264,6 +264,20 @@ def test_blowup_error_carries_context():
     assert "fisher1d" in str(err) and "rk4" in str(err)
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "ck45", "etdrk4", "etdrk4b", "adi"])
+def test_non_finite_start_is_a_blowup_at_t0(scheme):
+    dims, model = (2, "fisher2d") if scheme == "adi" else (1, "fisher1d")
+    grid = make_grid(16, 25.0, dims)
+    u = np.full(grid.shape, 0.5)
+    u.flat[3] = np.nan
+    kwargs = {"control": StepControl(rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.1}
+    with pytest.raises(BlowUpError) as excinfo:
+        integrate(model, grid, scheme=scheme, t_final=1.0,
+                  initial_state=state_from_physical(grid, [u]), **kwargs)
+    assert excinfo.value.t == 0.0
+    assert scheme in str(excinfo.value)
+
+
 def test_integrate_validation():
     g = make_grid(16, 1.0, 1)
     with pytest.raises(ValueError, match="valid schemes"):
