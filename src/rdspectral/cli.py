@@ -28,7 +28,8 @@ from .models import MODELS, default_timestep, get_model
 from .postprocess import fourier_upsample_1d, fourier_upsample_2d
 from .runio import (ConfigError, RunConfig, RunWriter, load_config, load_snapshot,
                     read_header, read_index)
-from .steppers import SCHEMES, BlowUpError, StepControl, StepSizeError, integrate
+from .steppers import (_ADI_DEALIAS, SCHEMES, BlowUpError, StepControl, StepSizeError,
+                       integrate)
 
 __all__ = ["main"]
 
@@ -147,6 +148,8 @@ def _cmd_compare(args) -> int:
         problem = _adi_problem(get_model(args.model))
         if problem:
             problems.append(f"scheme adi cannot run model {args.model}: {problem}")
+    if "adi" in schemes + (args.gold_scheme,) and args.dealias:
+        problems.append(_ADI_DEALIAS)
     if args.model in MODELS and params:
         try:
             get_model(args.model).params(params)

@@ -1,10 +1,13 @@
 """Periodic Fourier collocation grids and transform helpers.
 
 Domains are [-L, L) per axis with evenly spaced nodes x_i = -L + 2*L*i/n.
-The forward transform is the plain unnormalized FFT; the inverse carries
-the 1/n**dims factor and discards the imaginary part, which keeps
-round-off from leaking into the real fields over long integrations.
-Two-dimensional fields are stored with x on the last (fastest) axis.
+Every field is real, so its spectrum is Hermitian and only half of it is
+stored: the forward transform is the unnormalized real-to-complex FFT
+(``rfftn``), which keeps the nonnegative x wavenumbers 0..nx/2, and the
+inverse (``irfftn``) carries the 1/n**dims factor and returns a real field.
+Two-dimensional fields are stored with x on the last (fastest) axis, so x
+is the halved axis: a field of shape (ny, nx) has a spectrum of shape
+(ny, nx//2 + 1), and a 1D field of length n one of length n//2 + 1.
 """
 
 from __future__ import annotations
@@ -39,11 +42,13 @@ class GridSpec:
     coords : tuple of ndarray
         Node coordinates per axis, x first.
     omega : tuple of ndarray
-        Wavenumbers per axis in FFT storage order, layout
+        Full wavenumber ladder per axis in FFT storage order, layout
         (pi/L) * [0, 1, ..., n/2, -n/2 + 1, ..., -1].
     omega_sq : ndarray
-        Laplacian symbol sum(omega_axis**2), shaped like a field:
-        (n,) in 1D and (ny, nx) in 2D.
+        Laplacian symbol sum(omega_axis**2) on the stored half spectrum,
+        shaped like a spectrum (``spectral_shape``): (n//2 + 1,) in 1D,
+        over omega[0][:n//2 + 1], and (ny, nx//2 + 1) in 2D, over all of
+        omega[1] and omega[0][:nx//2 + 1].
     """
 
     dims: int
@@ -57,6 +62,11 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         # field storage shape: x fastest, so the axis order is reversed
         return tuple(self.n[::-1])
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        # half spectrum of a real field: x, stored last, keeps modes 0..nx/2
+        return self.shape[:-1] + (self.n[0] // 2 + 1,)
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -75,8 +85,8 @@ class State:
     """Solution snapshot: synchronized physical and spectral fields.
 
     ``u`` is real with shape (species, *grid.shape); ``uhat`` is its
-    forward transform.  Steppers keep the pair synchronized, taking the
-    real part on every inverse transform.
+    forward transform, the half spectrum of shape
+    (species, *grid.spectral_shape).  Steppers keep the pair synchronized.
     """
 
     t: float
@@ -119,11 +129,12 @@ def make_grid(n, half_length, dims: int = 1) -> GridSpec:
     per_axis = [_axis_arrays(m, l) for m, l in zip(ns, ls)]
     coords = tuple(c for c, _ in per_axis)
     omega = tuple(w for _, w in per_axis)
+    wx = omega[0][: ns[0] // 2 + 1]
     if dims == 1:
-        omega_sq = omega[0] ** 2
+        omega_sq = wx ** 2
     else:
-        # storage (ny, nx): omega_sq[j, i] = wx[i]**2 + wy[j]**2
-        omega_sq = omega[1][:, None] ** 2 + omega[0][None, :] ** 2
+        # storage (ny, nx//2 + 1): omega_sq[j, i] = wx[i]**2 + wy[j]**2
+        omega_sq = omega[1][:, None] ** 2 + wx[None, :] ** 2
     return GridSpec(dims=dims, n=ns, half_length=ls, coords=coords,
                     omega=omega, omega_sq=omega_sq)
 
@@ -135,28 +146,32 @@ def _check_field(grid: GridSpec, field: np.ndarray) -> None:
 
 
 def forward(grid: GridSpec, field: np.ndarray) -> np.ndarray:
-    """Unnormalized forward FFT over the grid axes.
+    """Unnormalized real-to-complex FFT over the grid axes: the half
+    spectrum, shaped (..., *grid.spectral_shape).
 
     Leading axes (species stacking) pass through untouched.
     """
     field = np.asarray(field)
     _check_field(grid, field)
-    return np.fft.fftn(field, axes=grid.axes)
+    return np.fft.rfftn(field, axes=grid.axes)
 
 
 def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
-    """Normalized inverse FFT, imaginary part discarded."""
+    """Normalized inverse of ``forward``: the real field of a half spectrum."""
     spectral = np.asarray(spectral)
-    _check_field(grid, spectral)
-    return np.fft.ifftn(spectral, axes=grid.axes).real
+    if spectral.shape[-grid.dims:] != grid.spectral_shape:
+        raise ValueError(f"spectrum shape {spectral.shape} does not end in grid "
+                         f"spectral shape {grid.spectral_shape}")
+    return np.fft.irfftn(spectral, s=grid.shape, axes=grid.axes)
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean 2/3-rule mask in FFT storage order (True = keep)."""
+    """Boolean 2/3-rule mask on the half spectrum (True = keep)."""
     masks = []
     for n in grid.n:
         index = np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])
         masks.append(np.abs(index) <= n // 3)
+    masks[0] = masks[0][: grid.n[0] // 2 + 1]
     if grid.dims == 1:
         return masks[0]
     return masks[1][:, None] & masks[0][None, :]

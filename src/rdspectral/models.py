@@ -237,7 +237,7 @@ FISHER1D = _register(ModelSpec(
     name="fisher1d",
     species=1,
     default_params={"delta": 1.0},
-    default_grid_args=(512, 150.0, 1),
+    default_grid_args=(1024, 150.0, 1),
     equations="u_t = u_xx + u(1 - u)",
     param_doc={"delta": "decay rate of the initial profile 1/(2 cosh(delta x))"},
     rates=_rates_fisher,

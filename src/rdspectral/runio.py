@@ -29,7 +29,7 @@ import numpy as np
 from .grid import GridSpec, State, make_grid
 from .models import MODELS, default_timestep, get_model
 from .adi import _adi_problem
-from .steppers import SCHEMES, RunSummary
+from .steppers import _ADI_DEALIAS, SCHEMES, RunSummary
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -104,6 +104,8 @@ class RunConfig:
             problem = _adi_problem(get_model(self.model))
             if problem:
                 problems.append(f"scheme adi cannot run model {self.model}: {problem}")
+        if self.scheme == "adi" and self.dealias:
+            problems.append(_ADI_DEALIAS)
         if self.model in MODELS and self.params:
             try:
                 get_model(self.model).params(self.params)

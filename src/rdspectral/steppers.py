@@ -2,7 +2,9 @@
 
 All schemes treat the diffusion term exactly through the diagonal
 spectral symbol L = -d * omega_sq and step only the reaction explicitly.
-Each is an exponential Runge-Kutta method (Hochbruck & Ostermann, Acta
+Spectra are the half spectra of real fields that grid.forward returns, so
+symbols, tables and stage values all have shape (species, *spectral_shape).
+Each scheme is an exponential Runge-Kutta method (Hochbruck & Ostermann, Acta
 Numerica 19, 2010): every stage and output is E U + sum_j A_j N(u_j) with
 N(u) = mask * FFT(F(u)), E an exponential of L dt and the A_j phi
 combinations (ETD) or exponentials (integrating factor).  A scheme is its
@@ -21,8 +23,10 @@ coefficient data, and one stage loop runs them all:
 
 The phi coefficient functions are evaluated by the direct formulas away
 from the origin and by a contour mean near it, where the formulas lose
-digits to cancellation.  Every scheme reproduces pure diffusion exactly
-(to rounding) when the reaction vanishes, at any step size.
+digits to cancellation; a run builds them only for the ETD schemes, the
+integrating-factor schemes read exponentials alone.  Every scheme
+reproduces pure diffusion exactly (to rounding) when the reaction
+vanishes, at any step size.
 """
 
 from __future__ import annotations
@@ -128,13 +132,15 @@ class LinearSymbol:
 
     grid: GridSpec
     diffusivities: tuple[float, ...]
-    values: np.ndarray                       # (species, *grid.shape), real, <= 0
+    values: np.ndarray                       # (species, *grid.spectral_shape), real, <= 0
     _tables: dict = dc_field(default_factory=dict, repr=False)
 
-    def tables(self, dt: float) -> "ExpTables":
-        key = float(dt)
+    def tables(self, dt: float, with_phi: bool = True) -> "ExpTables":
+        """Tables for dt, cached; ``with_phi=False`` builds only the two
+        exponentials, all that the integrating-factor schemes read."""
+        key = (float(dt), with_phi)
         if key not in self._tables:
-            self._tables[key] = _build_tables(self, key)
+            self._tables[key] = _build_tables(self, *key)
         return self._tables[key]
 
 
@@ -148,16 +154,17 @@ def linear_symbol(grid: GridSpec, diffusivities) -> LinearSymbol:
 
 @dataclass
 class ExpTables:
-    """Exponential and phi tables for one (symbol, dt) pair."""
+    """Exponential and phi tables for one (symbol, dt) pair, shaped like
+    the symbol.  The phi tables are None when built without them."""
 
     dt: float
     e_full: np.ndarray       # exp(L dt)
     e_half: np.ndarray       # exp(L dt / 2)
-    phi0_full: np.ndarray
-    phi1_full: np.ndarray
-    phi2_full: np.ndarray
-    phi0_half: np.ndarray
-    phi1_half: np.ndarray
+    phi0_full: np.ndarray | None = None
+    phi1_full: np.ndarray | None = None
+    phi2_full: np.ndarray | None = None
+    phi0_half: np.ndarray | None = None
+    phi1_half: np.ndarray | None = None
     _weights: dict | None = dc_field(default=None, repr=False)
 
     @property
@@ -174,25 +181,20 @@ class ExpTables:
         return self._weights
 
 
-def _build_tables(symbol: LinearSymbol, dt: float) -> ExpTables:
+def _build_tables(symbol: LinearSymbol, dt: float, with_phi: bool = True) -> ExpTables:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     z = symbol.values * dt
     zh = 0.5 * z
-    return ExpTables(
-        dt=dt,
-        e_full=np.exp(z),
-        e_half=np.exp(zh),
-        phi0_full=phi(0, z),
-        phi1_full=phi(1, z),
-        phi2_full=phi(2, z),
-        phi0_half=phi(0, zh),
-        phi1_half=phi(1, zh),
-    )
+    phis = {}
+    if with_phi:
+        phis = dict(phi0_full=phi(0, z), phi1_full=phi(1, z), phi2_full=phi(2, z),
+                    phi0_half=phi(0, zh), phi1_half=phi(1, zh))
+    return ExpTables(dt=dt, e_full=np.exp(z), e_half=np.exp(zh), **phis)
 
 
 def build_exp_tables(symbol: LinearSymbol, dt: float) -> ExpTables:
-    """Tables for (symbol, dt), cached on the symbol."""
+    """All exponential and phi tables for (symbol, dt), cached on the symbol."""
     return symbol.tables(dt)
 
 
@@ -290,10 +292,11 @@ def _etdrk4b_tableau(tb: ExpTables):
     return stages, (_etd_update(tb),)
 
 
-_TABLEAUS: dict[str, Callable] = {
-    "rk4": _rk4_tableau,
-    "etdrk4": _etdrk4_tableau,
-    "etdrk4b": _etdrk4b_tableau,
+# scheme -> (its tableau from the tables, whether it reads the phi tables)
+_TABLEAUS: dict[str, tuple[Callable, bool]] = {
+    "rk4": (_rk4_tableau, False),
+    "etdrk4": (_etdrk4_tableau, True),
+    "etdrk4b": (_etdrk4b_tableau, True),
 }
 
 
@@ -301,9 +304,12 @@ def _fixed_step(scheme: str, state: State, model: ModelSpec, grid: GridSpec,
                 tables: ExpTables, dt: float, params, mask) -> State:
     if tables.dt != dt:
         raise ValueError(f"tables were built for dt={tables.dt}, step asked for dt={dt}")
+    tableau, reads_phi = _TABLEAUS[scheme]
+    if reads_phi and tables.phi0_full is None:
+        raise ValueError(f"{scheme} reads phi tables, and these were built without them")
     N = _spectral_reaction(model, grid, model.params(params), mask)
     [(u, U)] = _exp_rk_step(N, grid, state.u, state.uhat, state.t, dt,
-                            _TABLEAUS[scheme](tables), scheme)
+                            tableau(tables), scheme)
     return State(t=state.t + dt, u=u, uhat=U)
 
 
@@ -439,6 +445,8 @@ def if_ck45_step(state: State, model: ModelSpec, grid: GridSpec, control: StepCo
 # -- the run loop ---------------------------------------------------------------
 
 SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b", "adi")
+_ADI_DEALIAS = ("scheme adi cannot dealias: it steps the reaction in physical "
+                "space, with no spectrum to mask")
 
 
 @dataclass
@@ -479,9 +487,10 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     Fixed-step schemes, ``adi`` among them, take ``dt`` (final partial
     step shortened to land exactly on t_final); ``ck45`` takes a
     StepControl.  ``dealias`` masks the spectral schemes' reaction term
-    by the 2/3 rule.  ``sink`` is called with the initial state, at every
-    crossing of the snapshot cadence, and with the final state.  A start
-    that is not finite or exceeds the blow-up limit raises BlowUpError.
+    by the 2/3 rule; ``adi`` rejects it.  ``sink`` is called with the
+    initial state, at every crossing of the snapshot cadence, and with the
+    final state.  A start that is not finite or exceeds the blow-up limit
+    raises BlowUpError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
@@ -492,6 +501,8 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
         raise ValueError(f"scheme {scheme!r} needs a fixed dt")
     elif dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if scheme == "adi" and dealias:
+        raise ValueError(_ADI_DEALIAS)
 
     def make_stepper(spec, grid, p):
         if scheme == "adi":
@@ -502,11 +513,12 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
         if scheme == "ck45":
             return _Stepper(lambda y, t, h: _ck45_attempt(N, grid, symbol, control, y, t)[:2],
                             N, control)
-        tableaus = {dt: _TABLEAUS[scheme](symbol.tables(dt))}
+        tableau, reads_phi = _TABLEAUS[scheme]
+        tableaus = {dt: tableau(symbol.tables(dt, reads_phi))}
 
         def advance(y, t, h):
             if h not in tableaus:  # the shortened final step
-                tableaus[h] = _TABLEAUS[scheme](symbol.tables(h))
+                tableaus[h] = tableau(symbol.tables(h, reads_phi))
             return _exp_rk_step(N, grid, *y, t, h, tableaus[h], scheme)[0], h
         return _Stepper(advance, N)
     return _drive(model, grid, params, scheme, make_stepper, initial_state, t_final, dt,
@@ -519,7 +531,8 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
     """The one time loop, for every scheme; ``make_stepper(spec, grid, p)``
     builds the scheme once the arguments are checked.  A stepper working
     in physical space (ADI) returns uhat as None, so the loop transforms
-    only to hand out a State."""
+    only to hand out a State, and hands out the final state it has just
+    emitted as a snapshot rather than transforming it again."""
     if t_final < 0:
         raise ValueError(f"t_final must be nonnegative, got {t_final}")
     if snap_every is not None and snap_every <= 0:
@@ -538,11 +551,12 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
 
     emit = sink if sink is not None else (lambda s: None)
     control = stepper.control
-    t0 = t = last_emitted = state.t
+    t0 = t = state.t
     eps = 1e-9 * max(1.0, abs(t_final), abs(t0))
     next_snap = None if snap_every is None else t0 + snap_every
     dt_history = None if control is None else []
     emit(state)
+    emitted = state
 
     started = time.perf_counter()
     y = (state.u, state.uhat)
@@ -572,8 +586,8 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
                 if h < proposal:
                     control.dt = max(control.dt, min(proposal, control.dt_max))
             if next_snap is not None and t + eps >= next_snap:
-                emit(as_state(y, t))
-                last_emitted = t
+                emitted = as_state(y, t)
+                emit(emitted)
                 while next_snap <= t + eps:
                     next_snap += snap_every
     except BlowUpError as exc:
@@ -581,9 +595,9 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
                           f"model={spec.name} scheme={scheme}") from exc
 
     wall = time.perf_counter() - started
-    final = as_state(y, t)
-    if t > last_emitted:
-        emit(final)
+    if t > emitted.t:
+        emitted = as_state(y, t)
+        emit(emitted)
     return RunSummary(
         model=spec.name,
         scheme=scheme,
@@ -593,7 +607,7 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
         rejected=steps - accepted,
         reaction_evals=stepper.reaction.calls,
         wall_time=wall,
-        final_state=final,
+        final_state=emitted,
         dt_history=dt_history,
         dense_time=stepper.dense.seconds if stepper.dense is not None else 0.0,
     )

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from rdspectral import grid as spectral
 from rdspectral.adi import adi_integrate, adi_step, build_diff_matrix
 from rdspectral.grid import make_grid, state_from_physical
-from rdspectral.models import get_model
+from rdspectral.models import get_model, initial_condition
 from rdspectral.steppers import BlowUpError, integrate
 
 
@@ -197,3 +198,23 @@ def test_reusing_diff_matrix_across_dts():
     ea = np.max(np.abs(a.final_state.u - gold.final_state.u))
     eb = np.max(np.abs(b.final_state.u - gold.final_state.u))
     assert eb < ea
+
+
+def test_final_snapshot_is_transformed_once(monkeypatch):
+    grid = make_grid(32, 25.0, 2)
+    start = initial_condition("fisher2d", grid)
+    calls = []
+    real = spectral.forward
+    monkeypatch.setattr(spectral, "forward", lambda g, f: calls.append(1) or real(g, f))
+    states = []
+    summary = adi_integrate("fisher2d", grid, dt=0.1, t_final=1.0, snap_every=0.5,
+                            sink=states.append, initial_state=start)
+    assert [s.t for s in states] == pytest.approx([0.0, 0.5, 1.0])
+    assert len(calls) == 2          # one each for the states at t=0.5 and t=1.0
+    assert summary.final_state is states[-1]
+
+
+def test_adi_rejects_dealias():
+    with pytest.raises(ValueError, match="adi cannot dealias"):
+        integrate("fisher2d", make_grid(16, 20.0, 2), scheme="adi", dt=0.1,
+                  t_final=0.2, dealias=True)

@@ -76,6 +76,15 @@ def test_run_reports_all_config_problems(capsys):
     assert "scheme adi cannot run model gray1d" in err
 
 
+def test_run_rejects_adi_with_dealias(tmp_path, capsys):
+    out = tmp_path / "adi"
+    rc = main(["run", "--model", "fisher2d", "--scheme", "adi", "--n", "16", "--L", "20",
+               "--dt", "0.1", "--t-final", "0.2", "--dealias", "--out", str(out)])
+    assert rc == 1
+    assert "scheme adi cannot dealias" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unknown_scheme_lists_valid_names(capsys):
     rc = main(["run", "--model", "fisher1d", "--scheme", "euler", "--t-final", "1"])
     assert rc == 1
@@ -179,6 +188,15 @@ def test_compare_validation(capsys):
     rc = main(["compare", "--model", "fisher1d", "--dt", "0.1"])
     assert rc == 1
     assert "--t-final is required" in capsys.readouterr().err
+
+
+def test_compare_rejects_adi_with_dealias(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--model", "fisher2d", "--n", "16", "--scheme", "adi",
+               "--dt", "0.1", "--t-final", "0.2", "--dealias", "--out", str(out)])
+    assert rc == 1
+    assert "scheme adi cannot dealias" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_gold_abort_exits_two(tmp_path, capsys):

@@ -20,22 +20,27 @@ def test_omega_storage_order():
     g = make_grid(8, np.pi, 1)
     # pi/L = 1 here, so omega is the bare FFT index ladder
     assert np.array_equal(g.omega[0], [0, 1, 2, 3, 4, -3, -2, -1])
-    assert np.array_equal(g.omega_sq, [0, 1, 4, 9, 16, 9, 4, 1])
+    # the symbol lives on the half spectrum: modes 0..n/2 of omega
+    assert g.spectral_shape == (5,)
+    assert np.array_equal(g.omega_sq, [0, 1, 4, 9, 16])
 
 
 def test_omega_scales_with_half_length():
     g = make_grid(4, 0.5 * np.pi, 1)
     assert np.allclose(g.omega[0], [0, 2, 4, -2])
-    assert np.allclose(g.omega_sq, [0, 4, 16, 4])
+    assert np.allclose(g.omega_sq, [0, 4, 16])
 
 
 def test_2d_storage_is_y_then_x():
     g = make_grid((8, 4), (1.0, 2.0), 2)
     assert g.n == (8, 4)              # argument order is x first
     assert g.shape == (4, 8)          # storage (ny, nx), x fastest
-    assert g.omega_sq.shape == (4, 8)
+    # x, stored last, is the halved axis of the spectrum
+    assert g.spectral_shape == (4, 5)
+    assert g.omega_sq.shape == (4, 5)
     wx, wy = g.omega
     assert np.allclose(g.omega_sq[2, 3], wx[3] ** 2 + wy[2] ** 2)
+    assert np.allclose(g.omega_sq, wy[:, None] ** 2 + wx[None, :5] ** 2)
     X, Y = g.mesh()
     assert X.shape == (1, 8) and Y.shape == (4, 1)
     assert (X + Y).shape == g.shape
@@ -46,11 +51,31 @@ def test_cosine_transform_lines_up_with_omega(k):
     n = 16
     g = make_grid(n, np.pi, 1)
     uhat = forward(g, np.cos(k * g.coords[0]))
-    # nodes start at -L, not 0, so mode k carries the phase (-1)^k
-    expected = np.zeros(n)
+    # nodes start at -L, not 0, so mode k carries the phase (-1)^k; its
+    # conjugate partner -k is not stored in the half spectrum
+    expected = np.zeros(n // 2 + 1)
     expected[k] = (-1) ** k * n / 2
-    expected[n - k] = (-1) ** k * n / 2
     assert np.allclose(uhat, expected, atol=1e-12)
+    assert g.omega_sq[k] == k ** 2
+
+
+@pytest.mark.parametrize("n, dims", [(16, 1), ((12, 8), 2), ((8, 12), 2)])
+def test_forward_is_the_half_of_the_complex_fft(n, dims):
+    # non-square grids pin which axis is halved: x, stored last
+    g = make_grid(n, 2.0, dims)
+    rng = np.random.default_rng(3)
+    fields = rng.standard_normal((2,) + g.shape)
+    full = np.fft.fftn(fields, axes=g.axes)
+    uhat = forward(g, fields)
+    assert uhat.shape == (2,) + g.spectral_shape
+    assert np.allclose(uhat, full[..., : g.n[0] // 2 + 1], rtol=0, atol=1e-12)
+    assert np.allclose(inverse_real(g, uhat), fields, rtol=0, atol=1e-13)
+
+
+def test_inverse_checks_the_spectral_shape():
+    g = make_grid((8, 4), 1.0, 2)
+    with pytest.raises(ValueError, match="spectral shape"):
+        inverse_real(g, np.ones((4, 8), dtype=complex))
 
 
 def test_forward_is_unnormalized_inverse_normalized():
@@ -96,11 +121,12 @@ def test_dealias_mask_two_thirds_rule():
     g = make_grid(12, 1.0, 1)
     mask = dealias_mask(g)
     index = np.concatenate([np.arange(7), np.arange(-5, 0)])
-    assert np.array_equal(mask, np.abs(index) <= 4)
+    full = np.abs(index) <= 4
+    assert np.array_equal(mask, full[:7])   # modes 0..6 of the half spectrum
     g2 = make_grid(12, 1.0, 2)
     m2 = dealias_mask(g2)
-    assert m2.shape == (12, 12)
-    assert np.array_equal(m2, np.outer(mask, mask))
+    assert m2.shape == g2.spectral_shape == (12, 7)
+    assert np.array_equal(m2, np.outer(full, full)[:, :7])
 
 
 def test_dealias_mask_removes_aliased_product():
@@ -110,7 +136,8 @@ def test_dealias_mask_removes_aliased_product():
     k = 10
     u = np.cos(k * g.coords[0])
     mask = dealias_mask(g)
-    assert mask[k] and not mask[2 * k]  # storage slot 20 holds wavenumber -12
+    # slot 12 holds wavenumber 12, the conjugate of the aliased -12
+    assert mask[k] and not mask[g.n[0] - 2 * k]
     filtered = inverse_real(g, np.where(mask, forward(g, u * u), 0.0))
     assert np.allclose(filtered, 0.5, atol=1e-12)  # only the mean survives
 

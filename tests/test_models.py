@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdspectral.grid import make_grid
+from rdspectral.postprocess import front_speed, trace_front
+from rdspectral.steppers import integrate
 from rdspectral.models import (MODELS, cubic_root_u_minus, default_grid,
                                default_timestep, get_model, initial_condition,
                                reaction_auto, reaction_fisher, reaction_gray,
@@ -129,6 +131,19 @@ def test_fisher1d_ic_formula():
     x = grid.coords[0]
     assert np.array_equal(state.u[0], 1.0 / (2.0 * np.cosh(2.0 * x)))
     assert state.t == 0.0
+
+
+def test_fisher1d_default_grid_resolves_the_steep_start():
+    # delta=2 is the steepest start of criterion 1; on a grid too coarse
+    # for it the front leaves a negative undershoot and runs slow
+    spec = get_model("fisher1d")
+    grid = default_grid(spec)
+    states = []
+    integrate(spec, grid, scheme="rk4", dt=0.1, t_final=25.0, snap_every=1.0,
+              sink=states.append, params={"delta": 2.0})
+    assert min(float(s.u[0].min()) for s in states) >= -1e-5
+    speed = front_speed(trace_front(states, grid, threshold=1e-4))
+    assert abs(speed - 2.0) <= 0.02 * 2.0
 
 
 def test_gray1d_ic_profile():

@@ -87,6 +87,12 @@ def test_validate_adi_requires_fisher2d():
     assert RunConfig(model="fisher2d", scheme="adi", t_final=1.0).validate() == []
 
 
+def test_validate_rejects_adi_with_dealias():
+    problems = RunConfig(model="fisher2d", scheme="adi", dealias=True, t_final=1.0).validate()
+    assert len(problems) == 1
+    assert "scheme adi cannot dealias" in problems[0]
+
+
 def test_adi_accepts_exactly_the_2d_single_species_models():
     # the capability check reads dimension and species count from the registry
     accepted = {name for name in MODELS

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rdspectral import grid as spectral
+from rdspectral import steppers
 from rdspectral.grid import make_grid, state_from_physical
-from rdspectral.models import ModelSpec, get_model
+from rdspectral.models import ModelSpec, get_model, initial_condition
 from rdspectral.steppers import (BLOWUP_LIMIT, ERROR_FLOOR, BlowUpError,
                                  StepControl, build_exp_tables, etdrk4_step,
                                  etdrk4b_step, if_ck45_step, if_rk4_step,
@@ -342,3 +343,65 @@ def test_reaction_eval_totals():
     adaptive = integrate("gray1d", g, scheme="ck45", t_final=1.0,
                          control=StepControl(dt=0.1, rel_tol=1e-4))
     assert adaptive.reaction_evals == 6 * adaptive.steps
+
+
+# -- the half-spectrum layout and the tables each scheme builds -------------------
+
+def full_spectrum_if_rk4_2d(spec, grid, u, p, dt, steps):
+    """IF-RK4 written out with numpy's full complex FFT and its own wavenumbers."""
+    (nx, ny), (lx, ly) = grid.n, grid.half_length
+    wx = (np.pi / lx) * np.fft.fftfreq(nx, 1.0 / nx)
+    wy = (np.pi / ly) * np.fft.fftfreq(ny, 1.0 / ny)
+    lap = -(wy[:, None] ** 2 + wx[None, :] ** 2)
+    L = np.stack([d * lap for d in spec.diffusivities(p)])
+    E, E2 = np.exp(0.5 * dt * L), np.exp(dt * L)
+    rates = lambda v: np.fft.fft2(spec.reaction(v, p))
+    uhat = np.fft.fft2(u)
+    for _ in range(steps):
+        k1 = dt * rates(u)
+        k2 = dt * rates(np.fft.ifft2(E * (uhat + 0.5 * k1)).real)
+        k3 = dt * rates(np.fft.ifft2(E * uhat + 0.5 * k2).real)
+        k4 = dt * rates(np.fft.ifft2(E2 * uhat + E * k3).real)
+        uhat = E2 * uhat + (E2 * k1 + 2.0 * E * (k2 + k3) + k4) / 6.0
+        u = np.fft.ifft2(uhat).real
+    return u
+
+
+def test_half_spectrum_rk4_matches_a_full_spectrum_loop():
+    spec = get_model("gray2d")
+    grid = make_grid(64, 25.0, 2)
+    p = spec.params()
+    start = initial_condition(spec, grid, p)
+    summary = integrate(spec, grid, scheme="rk4", dt=0.1, t_final=2.0, initial_state=start)
+    assert summary.final_state.uhat.shape == (2, 64, 33)
+    want = full_spectrum_if_rk4_2d(spec, grid, start.u, p, 0.1, 20)
+    assert np.max(np.abs(summary.final_state.u - want)) <= 1e-12
+
+
+def test_rk4_never_evaluates_phi(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rk4 evaluated a phi table")
+    monkeypatch.setattr(steppers, "phi", refuse)
+    summary = integrate("gray1d", make_grid(64, 50.0, 1), scheme="rk4", dt=0.1, t_final=0.25)
+    assert summary.steps == 3
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "etdrk4", "etdrk4b"])
+def test_tables_built_once_per_distinct_dt(scheme, monkeypatch):
+    built = []
+    real = steppers._build_tables
+    monkeypatch.setattr(steppers, "_build_tables",
+                        lambda symbol, dt, with_phi=True:
+                        built.append((dt, with_phi)) or real(symbol, dt, with_phi))
+    # two full steps at 0.1, then a shortened one: two distinct step sizes
+    integrate("gray1d", make_grid(64, 50.0, 1), scheme=scheme, dt=0.1, t_final=0.25)
+    assert len(built) == len({dt for dt, _ in built}) == 2
+    assert all(with_phi == (scheme != "rk4") for _, with_phi in built)
+
+
+def test_etd_step_needs_phi_tables():
+    grid = make_grid(16, 1.0, 1)
+    tables = linear_symbol(grid, (1.0,)).tables(0.1, with_phi=False)
+    assert tables.phi0_full is None
+    with pytest.raises(ValueError, match="phi tables"):
+        etdrk4_step(constant_state(grid, 0.2), get_model("fisher1d"), grid, tables, 0.1)
