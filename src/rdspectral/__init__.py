@@ -31,16 +31,9 @@ from .models import (
 from .steppers import (
     SCHEMES,
     BlowUpError,
-    ExpTables,
-    LinearSymbol,
     RunSummary,
     StepControl,
     StepSizeError,
-    build_exp_tables,
-    etdrk4_step,
-    etdrk4b_step,
-    if_ck45_step,
-    if_rk4_step,
     integrate,
     linear_symbol,
     phi,
@@ -74,9 +67,7 @@ __all__ = [
     "MODELS", "ModelSpec", "get_model", "default_grid", "default_timestep",
     "initial_condition", "cubic_root_u_minus",
     "SCHEMES", "integrate", "StepControl", "RunSummary",
-    "BlowUpError", "StepSizeError", "phi", "linear_symbol", "build_exp_tables",
-    "ExpTables", "LinearSymbol",
-    "if_rk4_step", "if_ck45_step", "etdrk4_step", "etdrk4b_step",
+    "BlowUpError", "StepSizeError", "phi", "linear_symbol",
     "DiffMatrix", "build_diff_matrix", "adi_step", "adi_integrate",
     "FrontTrace", "fourier_upsample_1d", "fourier_upsample_2d",
     "front_position", "trace_front", "front_speed", "pulse_count",

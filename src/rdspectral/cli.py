@@ -21,15 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adi import _adi_problem
 from .grid import make_grid, state_from_physical
 from .harness import convergence_study
 from .models import MODELS, default_timestep, get_model
 from .postprocess import fourier_upsample_1d, fourier_upsample_2d
 from .runio import (ConfigError, RunConfig, RunWriter, load_config, load_snapshot,
                     read_header, read_index)
-from .steppers import (_ADI_DEALIAS, SCHEMES, BlowUpError, StepControl, StepSizeError,
-                       integrate)
+from .steppers import BlowUpError, StepControl, StepSizeError, integrate
 
 __all__ = ["main"]
 
@@ -130,43 +128,27 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     problems: list[str] = []
     params = _parse_params(args.param, problems)
-    if args.model not in MODELS:
-        problems.append(f"unknown model {args.model!r}; valid models: "
-                        f"{', '.join(sorted(MODELS))}")
     schemes = tuple(args.scheme) if args.scheme else ("rk4", "etdrk4", "etdrk4b")
-    for scheme in schemes + (args.gold_scheme,):
-        if scheme not in SCHEMES:
-            problems.append(f"unknown scheme {scheme!r}; valid schemes: "
-                            f"{', '.join(SCHEMES)}")
     if not args.dt:
         problems.append("at least one --dt is required")
     elif any(dt <= 0 for dt in args.dt):
         problems.append("every --dt must be positive")
     if args.t_final is None or args.t_final < 0:
         problems.append("--t-final is required and must be nonnegative")
-    if "adi" in schemes + (args.gold_scheme,) and args.model in MODELS:
-        problem = _adi_problem(get_model(args.model))
-        if problem:
-            problems.append(f"scheme adi cannot run model {args.model}: {problem}")
-    if "adi" in schemes + (args.gold_scheme,) and args.dealias:
-        problems.append(_ADI_DEALIAS)
-    if args.model in MODELS and params:
-        try:
-            get_model(args.model).params(params)
-        except ValueError as err:
-            problems.append(str(err))
+    if args.gold_dt <= 0:
+        problems.append(f"--gold-dt must be positive, got {args.gold_dt:g}")
+    # model, scheme, grid, adi and parameter checks are those of a run of each
+    # scheme; t_final is checked above, under its flag's name
+    for scheme in dict.fromkeys(schemes + (args.gold_scheme,)):
+        cfg = RunConfig(model=args.model, scheme=scheme, n=args.n, half_length=args.L,
+                        t_final=0.0, dealias=bool(args.dealias), params=params)
+        problems.extend(p for p in cfg.validate() if p not in problems)
     if problems:
         return _fail(problems)
 
-    grid = None
-    if args.n is not None or args.L is not None:
-        spec = get_model(args.model)
-        n0, L0, dims = spec.default_grid_args
-        grid = make_grid(args.n if args.n is not None else n0,
-                         args.L if args.L is not None else L0, dims)
     try:
         study = convergence_study(args.model, schemes=schemes, dts=args.dt,
-                                  t_final=args.t_final, grid=grid, params=params,
+                                  t_final=args.t_final, grid=cfg.grid(), params=params,
                                   gold_scheme=args.gold_scheme, gold_dt=args.gold_dt,
                                   dealias=bool(args.dealias))
     except (BlowUpError, StepSizeError) as err:

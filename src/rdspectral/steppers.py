@@ -3,12 +3,12 @@
 All schemes treat the diffusion term exactly through the diagonal
 spectral symbol L = -d * omega_sq and step only the reaction explicitly.
 Spectra are the half spectra of real fields that grid.forward returns, so
-symbols, tables and stage values all have shape (species, *spectral_shape).
+symbols, coefficients and stage values all have shape (species, *spectral_shape).
 Each scheme is an exponential Runge-Kutta method (Hochbruck & Ostermann, Acta
 Numerica 19, 2010): every stage and output is E U + sum_j A_j N(u_j) with
 N(u) = mask * FFT(F(u)), E an exponential of L dt and the A_j phi
-combinations (ETD) or exponentials (integrating factor).  A scheme is its
-coefficient data, and one stage loop runs them all:
+combinations (ETD) or exponentials (integrating factor).  A scheme is the
+builder of that coefficient data, and one stage loop runs them all:
 
 * ``rk4``      classical four-stage Runge-Kutta on the transformed
                variable, with the stage exponentials folded in so only
@@ -23,8 +23,8 @@ coefficient data, and one stage loop runs them all:
 
 The phi coefficient functions are evaluated by the direct formulas away
 from the origin and by a contour mean near it, where the formulas lose
-digits to cancellation; a run builds them only for the ETD schemes, the
-integrating-factor schemes read exponentials alone.  Every scheme
+digits to cancellation; each builder evaluates only the values its rows
+read, so the integrating-factor schemes evaluate no phi.  Every scheme
 reproduces pure diffusion exactly (to rounding) when the reaction
 vanishes, at any step size.
 """
@@ -32,7 +32,7 @@ vanishes, at any step size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -44,17 +44,10 @@ from .models import ModelSpec, default_grid as _default_grid, get_model, initial
 __all__ = [
     "BlowUpError",
     "StepSizeError",
-    "LinearSymbol",
-    "ExpTables",
     "StepControl",
     "RunSummary",
     "phi",
     "linear_symbol",
-    "build_exp_tables",
-    "if_rk4_step",
-    "if_ck45_step",
-    "etdrk4_step",
-    "etdrk4b_step",
     "integrate",
 ]
 
@@ -124,78 +117,15 @@ def phi(k: int, z) -> np.ndarray:
     return out[()] if out.ndim == 0 else out
 
 
-# -- linear symbol and exponential tables --------------------------------------
+# -- linear symbol ---------------------------------------------------------------
 
-@dataclass
-class LinearSymbol:
-    """Per-species diffusion symbol L_s = -d_s * omega_sq, stacked."""
-
-    grid: GridSpec
-    diffusivities: tuple[float, ...]
-    values: np.ndarray                       # (species, *grid.spectral_shape), real, <= 0
-    _tables: dict = dc_field(default_factory=dict, repr=False)
-
-    def tables(self, dt: float, with_phi: bool = True) -> "ExpTables":
-        """Tables for dt, cached; ``with_phi=False`` builds only the two
-        exponentials, all that the integrating-factor schemes read."""
-        key = (float(dt), with_phi)
-        if key not in self._tables:
-            self._tables[key] = _build_tables(self, *key)
-        return self._tables[key]
-
-
-def linear_symbol(grid: GridSpec, diffusivities) -> LinearSymbol:
+def linear_symbol(grid: GridSpec, diffusivities) -> np.ndarray:
+    """Per-species diffusion symbol L_s = -d_s * omega_sq, stacked into a
+    real (species, *grid.spectral_shape) array, <= 0."""
     ds = tuple(float(d) for d in diffusivities)
     if not ds or any(d < 0 for d in ds):
         raise ValueError(f"diffusivities must be nonnegative, got {ds}")
-    values = np.stack([-d * grid.omega_sq for d in ds])
-    return LinearSymbol(grid=grid, diffusivities=ds, values=values)
-
-
-@dataclass
-class ExpTables:
-    """Exponential and phi tables for one (symbol, dt) pair, shaped like
-    the symbol.  The phi tables are None when built without them."""
-
-    dt: float
-    e_full: np.ndarray       # exp(L dt)
-    e_half: np.ndarray       # exp(L dt / 2)
-    phi0_full: np.ndarray | None = None
-    phi1_full: np.ndarray | None = None
-    phi2_full: np.ndarray | None = None
-    phi0_half: np.ndarray | None = None
-    phi1_half: np.ndarray | None = None
-    _weights: dict | None = dc_field(default=None, repr=False)
-
-    @property
-    def stage_weights(self) -> dict:
-        # combinations shared by the two four-stage ETD schemes
-        if self._weights is None:
-            self._weights = {
-                "half_a": self.phi0_half - 2.0 * self.phi1_half,
-                "full_a": self.phi0_full - 2.0 * self.phi1_full,
-                "update1": 4.0 * self.phi2_full - 3.0 * self.phi1_full + self.phi0_full,
-                "update23": 2.0 * (self.phi1_full - 2.0 * self.phi2_full),
-                "update4": 4.0 * self.phi2_full - self.phi1_full,
-            }
-        return self._weights
-
-
-def _build_tables(symbol: LinearSymbol, dt: float, with_phi: bool = True) -> ExpTables:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    z = symbol.values * dt
-    zh = 0.5 * z
-    phis = {}
-    if with_phi:
-        phis = dict(phi0_full=phi(0, z), phi1_full=phi(1, z), phi2_full=phi(2, z),
-                    phi0_half=phi(0, zh), phi1_half=phi(1, zh))
-    return ExpTables(dt=dt, e_full=np.exp(z), e_half=np.exp(zh), **phis)
-
-
-def build_exp_tables(symbol: LinearSymbol, dt: float) -> ExpTables:
-    """All exponential and phi tables for (symbol, dt), cached on the symbol."""
-    return symbol.tables(dt)
+    return np.stack([-d * grid.omega_sq for d in ds])
 
 
 # -- the exponential Runge-Kutta stage loop ---------------------------------------
@@ -252,12 +182,14 @@ def _exp_rk_step(N, grid: GridSpec, u: np.ndarray, U: np.ndarray, t: float, dt: 
     return out
 
 
-# -- fixed-step schemes as coefficient data ----------------------------------------
+# -- schemes as coefficient data ---------------------------------------------------
+# Each builder takes z = L dt and dt and evaluates only the exponentials and
+# phi values its rows read.
 
-def _rk4_tableau(tb: ExpTables):
+def _rk4_tableau(z: np.ndarray, dt: float):
     # classical RK4 on exp(-L t) U with k_j = dt N_j:
     # u2 = E_h (U + k1/2), u3 = E_h U + k2/2, u4 = E U + E_h k3
-    dt, E, Eh = tb.dt, tb.e_full, tb.e_half
+    E, Eh = np.exp(z), np.exp(0.5 * z)
     third = (dt / 3.0) * Eh
     stages = ((Eh, ((0, (0.5 * dt) * Eh),)),
               (Eh, ((1, 0.5 * dt),)),
@@ -266,76 +198,34 @@ def _rk4_tableau(tb: ExpTables):
     return stages, (update,)
 
 
-def _etd_update(tb: ExpTables):
-    w = tb.stage_weights
-    middle = tb.dt * w["update23"]
-    return (tb.e_full, ((0, tb.dt * w["update1"]), (1, middle), (2, middle),
-                        (3, tb.dt * w["update4"])))
+def _etd_update(E, p0, p1, p2, dt: float):
+    # the output row both ETD schemes share, from the phi values at z
+    middle = dt * (2.0 * (p1 - 2.0 * p2))
+    return (E, ((0, dt * (4.0 * p2 - 3.0 * p1 + p0)), (1, middle), (2, middle),
+                (3, dt * (4.0 * p2 - p1))))
 
 
-def _etdrk4_tableau(tb: ExpTables):
+def _etdrk4_tableau(z: np.ndarray, dt: float):
     # the third stage steps from the second-stage value A = E_h U + a N1:
     # E_h A + a (2 N3 - N1) = E U + a (E_h - 1) N1 + 2 a N3
-    Eh = tb.e_half
-    a = (0.5 * tb.dt) * tb.phi0_half
+    zh = 0.5 * z
+    E, Eh = np.exp(z), np.exp(zh)
+    a = (0.5 * dt) * phi(0, zh)
     stages = ((Eh, ((0, a),)),
               (Eh, ((1, a),)),
-              (tb.e_full, ((0, a * (Eh - 1.0)), (2, 2.0 * a))))
-    return stages, (_etd_update(tb),)
+              (E, ((0, a * (Eh - 1.0)), (2, 2.0 * a))))
+    return stages, (_etd_update(E, phi(0, z), phi(1, z), phi(2, z), dt),)
 
 
-def _etdrk4b_tableau(tb: ExpTables):
-    dt, w, Eh = tb.dt, tb.stage_weights, tb.e_half
-    stages = ((Eh, ((0, (0.5 * dt) * tb.phi0_half),)),
-              (Eh, ((0, (0.5 * dt) * w["half_a"]), (1, dt * tb.phi1_half))),
-              (tb.e_full, ((0, dt * w["full_a"]), (2, (2.0 * dt) * tb.phi1_full))))
-    return stages, (_etd_update(tb),)
-
-
-# scheme -> (its tableau from the tables, whether it reads the phi tables)
-_TABLEAUS: dict[str, tuple[Callable, bool]] = {
-    "rk4": (_rk4_tableau, False),
-    "etdrk4": (_etdrk4_tableau, True),
-    "etdrk4b": (_etdrk4b_tableau, True),
-}
-
-
-def _fixed_step(scheme: str, state: State, model: ModelSpec, grid: GridSpec,
-                tables: ExpTables, dt: float, params, mask) -> State:
-    if tables.dt != dt:
-        raise ValueError(f"tables were built for dt={tables.dt}, step asked for dt={dt}")
-    tableau, reads_phi = _TABLEAUS[scheme]
-    if reads_phi and tables.phi0_full is None:
-        raise ValueError(f"{scheme} reads phi tables, and these were built without them")
-    N = _spectral_reaction(model, grid, model.params(params), mask)
-    [(u, U)] = _exp_rk_step(N, grid, state.u, state.uhat, state.t, dt,
-                            tableau(tables), scheme)
-    return State(t=state.t + dt, u=u, uhat=U)
-
-
-def if_rk4_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTables,
-                dt: float, params: Mapping[str, float] | None = None,
-                mask: np.ndarray | None = None) -> State:
-    """One classical RK4 step in integrating-factor form.
-
-    Costs exactly 4 reaction evaluations and 4 forward / 4 inverse
-    transforms of the species stack.
-    """
-    return _fixed_step("rk4", state, model, grid, tables, dt, params, mask)
-
-
-def etdrk4b_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTables,
-                 dt: float, params: Mapping[str, float] | None = None,
-                 mask: np.ndarray | None = None) -> State:
-    """One ETDRK4 step with every stage anchored at the current time level."""
-    return _fixed_step("etdrk4b", state, model, grid, tables, dt, params, mask)
-
-
-def etdrk4_step(state: State, model: ModelSpec, grid: GridSpec, tables: ExpTables,
-                dt: float, params: Mapping[str, float] | None = None,
-                mask: np.ndarray | None = None) -> State:
-    """One ETDRK4 step in the original four-stage form (split-step stage 3)."""
-    return _fixed_step("etdrk4", state, model, grid, tables, dt, params, mask)
+def _etdrk4b_tableau(z: np.ndarray, dt: float):
+    zh = 0.5 * z
+    E, Eh = np.exp(z), np.exp(zh)
+    p0, p1, p2 = phi(0, z), phi(1, z), phi(2, z)
+    h0, h1 = phi(0, zh), phi(1, zh)
+    stages = ((Eh, ((0, (0.5 * dt) * h0),)),
+              (Eh, ((0, (0.5 * dt) * (h0 - 2.0 * h1)), (1, dt * h1))),
+              (E, ((0, dt * (p0 - 2.0 * p1)), (2, (2.0 * dt) * p1))))
+    return stages, (_etd_update(E, p0, p1, p2, dt),)
 
 
 # -- embedded Cash-Karp 4(5) pair -------------------------------------------------
@@ -354,7 +244,7 @@ _CK_FOURTH = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
               277.0 / 14336.0, 1.0 / 4.0)
 
 
-def _ck45_tableau(symbol: LinearSymbol, dt: float):
+def _ck45_tableau(z: np.ndarray, dt: float):
     """Integrating-factor Cash-Karp over the rates k_j = dt N_j: stage i
     couples to k_j by b_ij exp((a_i - a_j) L dt), output j by
     w_j exp((1 - a_j) L dt), evaluated as b * (exp * k) because the
@@ -364,7 +254,6 @@ def _ck45_tableau(symbol: LinearSymbol, dt: float):
     exponents are clamped so that a vanishing reaction still yields an
     exact pure-diffusion step instead of inf * 0.
     """
-    z = symbol.values * dt
     ex: dict[float, np.ndarray] = {}
 
     def e(theta):
@@ -380,6 +269,21 @@ def _ck45_tableau(symbol: LinearSymbol, dt: float):
     return stages, outputs
 
 
+_TABLEAUS: dict[str, Callable] = {
+    "rk4": _rk4_tableau,
+    "ck45": _ck45_tableau,
+    "etdrk4": _etdrk4_tableau,
+    "etdrk4b": _etdrk4b_tableau,
+}
+
+
+def _build_tables(scheme: str, symbol: np.ndarray, dt: float):
+    """The tableau of ``scheme`` for one step of dt over the linear symbol."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return _TABLEAUS[scheme](symbol * dt, dt)
+
+
 @dataclass
 class StepControl:
     """Adaptive step controller state for ck45."""
@@ -393,7 +297,7 @@ class StepControl:
     rejected: int = 0
 
 
-def _ck45_attempt(N, grid: GridSpec, symbol: LinearSymbol, control: StepControl,
+def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
                   y: tuple[np.ndarray, np.ndarray], t: float):
     """One Cash-Karp attempt from y = (u, uhat) at control.dt, clamped to
     its bounds.  Returns (new y, or None on rejection; the dt tried; the
@@ -401,7 +305,7 @@ def _ck45_attempt(N, grid: GridSpec, symbol: LinearSymbol, control: StepControl,
     dt = min(max(control.dt, control.dt_min), control.dt_max)
     try:
         (u5, U5), (u4, _) = _exp_rk_step(lambda v: dt * N(v), grid, *y, t, dt,
-                                         _ck45_tableau(symbol, dt), "ck45")
+                                         _build_tables("ck45", symbol, dt), "ck45")
         scale = control.rel_tol * (np.abs(y[0]) + ERROR_FLOOR)
         err = float(np.max(np.abs(u5 - u4) / scale))
     except BlowUpError:  # a runaway stage rejects the attempt
@@ -420,26 +324,6 @@ def _ck45_attempt(N, grid: GridSpec, symbol: LinearSymbol, control: StepControl,
     control.dt = min(max(proposal, control.dt_min), control.dt_max)
     control.rejected += 1
     return None, dt, err
-
-
-def if_ck45_step(state: State, model: ModelSpec, grid: GridSpec, control: StepControl,
-                 params: Mapping[str, float] | None = None,
-                 mask: np.ndarray | None = None) -> tuple[State, bool, float]:
-    """Attempt one embedded Cash-Karp step at control.dt.
-
-    Returns (new_state, accepted, scaled_error); on rejection the state
-    comes back unchanged.  control.dt is updated to the next proposal
-    either way.  The error is max |u5 - u4| / (rel_tol * (|u| + floor)),
-    the step is accepted iff it is <= 1, and the fifth-order solution is
-    the one advanced.
-    """
-    p = model.params(params)
-    new, dt, err = _ck45_attempt(_spectral_reaction(model, grid, p, mask), grid,
-                                 linear_symbol(grid, model.diffusivities(p)), control,
-                                 (state.u, state.uhat), state.t)
-    if new is None:
-        return state, False, err
-    return State(t=state.t + dt, u=new[0], uhat=new[1]), True, err
 
 
 # -- the run loop ---------------------------------------------------------------
@@ -513,12 +397,11 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
         if scheme == "ck45":
             return _Stepper(lambda y, t, h: _ck45_attempt(N, grid, symbol, control, y, t)[:2],
                             N, control)
-        tableau, reads_phi = _TABLEAUS[scheme]
-        tableaus = {dt: tableau(symbol.tables(dt, reads_phi))}
+        tableaus = {dt: _build_tables(scheme, symbol, dt)}
 
         def advance(y, t, h):
             if h not in tableaus:  # the shortened final step
-                tableaus[h] = tableau(symbol.tables(h, reads_phi))
+                tableaus[h] = _build_tables(scheme, symbol, h)
             return _exp_rk_step(N, grid, *y, t, h, tableaus[h], scheme)[0], h
         return _Stepper(advance, N)
     return _drive(model, grid, params, scheme, make_stepper, initial_state, t_final, dt,

@@ -6,6 +6,7 @@ the terminal summary).  Failures here are honest measurements, not
 broken plumbing; the unit suites cover the mechanics.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -18,15 +19,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from rdspectral import __version__
+import rdspectral
 from rdspectral.grid import make_grid, state_from_physical
 from rdspectral.harness import convergence_study, fit_slope
 from rdspectral.models import MODELS, default_grid, get_model, initial_condition
 from rdspectral.postprocess import (fourier_upsample_1d, fourier_upsample_2d,
                                     front_speed, max_abs_error, pulse_count,
                                     trace_front)
-from rdspectral.steppers import (BlowUpError, StepControl, build_exp_tables,
-                                 integrate, linear_symbol, phi)
+from rdspectral.steppers import BlowUpError, StepControl, integrate, linear_symbol, phi
 
 GOLD_CACHE = Path(tempfile.gettempdir()) / "gray1d_gold_t200.npz"
 
@@ -79,11 +79,20 @@ def test_criterion_1_front_speed_selection(criterion):
 
 # ---------------------------------------------------------- criteria 2 and 3
 
-def _gold_key(spec, params, grid, scheme, dt, t_final, version) -> str:
+def _source_hash() -> str:
+    """SHA-256 of the package's Python sources: gold written by any other
+    code, including an unversioned edit, is never reused."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(rdspectral.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _gold_key(spec, params, grid, scheme, dt, t_final, source) -> str:
     return json.dumps({
         "model": spec.name, "params": params, "n": list(grid.n),
         "half_length": list(grid.half_length), "scheme": scheme, "dt": dt,
-        "t_final": t_final, "version": version}, sort_keys=True)
+        "t_final": t_final, "source": source}, sort_keys=True)
 
 
 def _load_or_compute(path: Path, key: str, compute) -> np.ndarray:
@@ -124,7 +133,7 @@ def test_gold_cache_reuses_only_a_matching_key(tmp_path):
 
     spec = get_model("gray1d")
     base = dict(spec=spec, params=spec.params(), grid=make_grid(64, 10.0, 1),
-                scheme="etdrk4b", dt=1e-3, t_final=200.0, version="1.0")
+                scheme="etdrk4b", dt=1e-3, t_final=200.0, source=_source_hash())
     key = _gold_key(**base)
     first = _load_or_compute(path, key, compute)
     assert np.array_equal(_load_or_compute(path, key, compute), first)
@@ -134,7 +143,7 @@ def test_gold_cache_reuses_only_a_matching_key(tmp_path):
                    dict(grid=make_grid(128, 10.0, 1)),
                    dict(grid=make_grid(64, 20.0, 1)),
                    dict(scheme="etdrk4"), dict(dt=2e-3), dict(t_final=100.0),
-                   dict(version="1.1")):
+                   dict(source="0" * 64)):
         _load_or_compute(path, key, compute)  # the file now holds the base key
         before = len(calls)
         got = _load_or_compute(path, _gold_key(**{**base, **change}), compute)
@@ -157,7 +166,7 @@ def gray_error_table():
     grid = default_grid(spec)
     params = spec.params()
     start = initial_condition(spec, grid)
-    key = _gold_key(spec, params, grid, "etdrk4b", 1e-3, 200.0, __version__)
+    key = _gold_key(spec, params, grid, "etdrk4b", 1e-3, 200.0, _source_hash())
     gold = _load_or_compute(GOLD_CACHE, key, lambda: integrate(
         spec, grid, scheme="etdrk4b", dt=1e-3, t_final=200.0,
         initial_state=start).final_state.u)
@@ -285,14 +294,15 @@ def test_criterion_5_phi_oracles_and_recurrence(criterion):
     spec = get_model("gray1d")
     symbol = linear_symbol(default_grid(spec), spec.diffusivities(spec.params()))
     for dt in (0.1, 0.01):
-        tables = build_exp_tables(symbol, dt)
-        z_full = symbol.values * dt
-        z_half = symbol.values * (0.5 * dt)
+        # the arguments the ETD tableau builders pass to phi
+        z_full = symbol * dt
+        z_half = 0.5 * z_full
+        p0, p1, p2 = phi(0, z_full), phi(1, z_full), phi(2, z_full)
         worst_rec = max(
             worst_rec,
-            np.max(np.abs(z_full * tables.phi1_full - (tables.phi0_full - 1.0))),
-            np.max(np.abs(z_full * tables.phi2_full - (tables.phi1_full - 0.5))),
-            np.max(np.abs(z_half * tables.phi1_half - (tables.phi0_half - 1.0))))
+            np.max(np.abs(z_full * p1 - (p0 - 1.0))),
+            np.max(np.abs(z_full * p2 - (p1 - 0.5))),
+            np.max(np.abs(z_half * phi(1, z_half) - (phi(0, z_half) - 1.0))))
 
     passed = worst_series < 1e-12 and worst_closed < 1e-12 and worst_rec < 1e-10
     criterion(5, passed,

@@ -190,6 +190,18 @@ def test_compare_validation(capsys):
     assert "--t-final is required" in capsys.readouterr().err
 
 
+def test_compare_lists_every_grid_and_gold_problem(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--model", "gray1d", "--n", "7", "--L", "-5", "--gold-dt", "-1",
+               "--dt", "0.1", "--t-final", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "n must be even and >= 2, got 7" in err
+    assert "L must be positive, got -5.0" in err
+    assert "--gold-dt must be positive, got -1" in err
+    assert not out.exists()
+
+
 def test_compare_rejects_adi_with_dealias(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--model", "fisher2d", "--n", "16", "--scheme", "adi",

@@ -1,4 +1,4 @@
-"""Oracles for the phi functions and the exponential tables.
+"""Oracles for the phi functions and the ETD coefficients built from them.
 
 Table slot k holds the standard function of order k + 1: slot 0 is
 (e^z - 1)/z, slot 1 is (e^z - 1 - z)/z^2, slot 2 adds the z^2/2 term.
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rdspectral import steppers
 from rdspectral.grid import make_grid
 from rdspectral.models import get_model
-from rdspectral.steppers import (PHI_CONTOUR_THRESHOLD, build_exp_tables,
+from rdspectral.steppers import (PHI_CONTOUR_THRESHOLD, _build_tables, integrate,
                                  linear_symbol, phi)
 
 
@@ -117,36 +118,47 @@ def test_recurrence_hypothesis(z):
 
 
 def test_recurrence_on_built_tables():
+    # on the arguments the ETD builders use: z = L dt and z / 2
     spec = get_model("gray1d")
     grid = make_grid(512, 50.0, 1)
     symbol = linear_symbol(grid, spec.diffusivities(spec.params()))
     for dt in (0.1, 0.01):
-        tables = build_exp_tables(symbol, dt)
-        z = symbol.values * dt
-        assert np.max(np.abs(z * tables.phi1_full - (tables.phi0_full - 1.0))) < 1e-10
-        assert np.max(np.abs(z * tables.phi2_full - (tables.phi1_full - 0.5))) < 1e-10
+        z = symbol * dt
+        p0, p1, p2 = phi(0, z), phi(1, z), phi(2, z)
+        assert np.max(np.abs(z * p1 - (p0 - 1.0))) < 1e-10
+        assert np.max(np.abs(z * p2 - (p1 - 0.5))) < 1e-10
         zh = 0.5 * z
-        assert np.max(np.abs(zh * tables.phi1_half - (tables.phi0_half - 1.0))) < 1e-10
+        assert np.max(np.abs(zh * phi(1, zh) - (phi(0, zh) - 1.0))) < 1e-10
 
 
-def test_tables_cached_per_dt():
-    spec = get_model("gray1d")
-    grid = make_grid(64, 50.0, 1)
-    symbol = linear_symbol(grid, spec.diffusivities(spec.params()))
-    assert build_exp_tables(symbol, 0.1) is build_exp_tables(symbol, 0.1)
-    assert build_exp_tables(symbol, 0.1) is not build_exp_tables(symbol, 0.2)
+def test_tables_cached_per_dt(monkeypatch):
+    # every step at one dt reuses one tableau; the shortened last step gets its own
+    used = []
+    real = steppers._exp_rk_step
+    monkeypatch.setattr(steppers, "_exp_rk_step", lambda *args: used.append(args) or real(*args))
+    integrate("gray1d", make_grid(64, 50.0, 1), scheme="etdrk4b", dt=0.1, t_final=0.35)
+    (*full, last) = [(args[5], args[6]) for args in used]
+    assert [dt for dt, _ in full] == [0.1, 0.1, 0.1] and last[0] < 0.1
+    assert full[0][1] is full[1][1] is full[2][1]
+    assert last[1] is not full[0][1]
 
 
 def test_stage_weight_combinations():
-    # update weights are fixed combinations of the table entries
+    # the ETD output row's weights are fixed combinations of the phi values
     spec = get_model("gray1d")
     grid = make_grid(64, 50.0, 1)
     symbol = linear_symbol(grid, spec.diffusivities(spec.params()))
-    t = build_exp_tables(symbol, 0.05)
-    w = t.stage_weights
-    assert np.allclose(w["update1"], 4 * t.phi2_full - 3 * t.phi1_full + t.phi0_full)
-    assert np.allclose(w["update23"], 2 * (t.phi1_full - 2 * t.phi2_full))
-    assert np.allclose(w["update4"], 4 * t.phi2_full - t.phi1_full)
-    # the three update weights resum to phi0 = phi_1 (consistency: they
-    # weight stages whose coefficients add to one application of phi_1)
-    assert np.allclose(w["update1"] + 2 * w["update23"] + w["update4"], t.phi0_full)
+    dt = 0.05
+    z = symbol * dt
+    p0, p1, p2 = phi(0, z), phi(1, z), phi(2, z)
+    for scheme in ("etdrk4", "etdrk4b"):
+        _, ((E, terms),) = _build_tables(scheme, symbol, dt)
+        assert [j for j, _ in terms] == [0, 1, 2, 3]
+        w1, w2, w3, w4 = (w / dt for _, w in terms)
+        assert np.array_equal(E, np.exp(z))
+        assert np.allclose(w1, 4 * p2 - 3 * p1 + p0)
+        assert np.allclose(w2, 2 * (p1 - 2 * p2)) and np.array_equal(w2, w3)
+        assert np.allclose(w4, 4 * p2 - p1)
+        # the three update weights resum to phi0 = phi_1 (consistency: they
+        # weight stages whose coefficients add to one application of phi_1)
+        assert np.allclose(w1 + 2 * w2 + w4, p0)

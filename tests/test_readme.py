@@ -1,7 +1,12 @@
-"""The README's Python quick start runs as written."""
+"""The README's Python quick start and CLI lines run as written, and it
+names every public name."""
 
 import re
+import shlex
 from pathlib import Path
+
+import rdspectral
+from rdspectral.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +17,20 @@ def test_readme_quick_start_runs(capsys):
     steps, shape = capsys.readouterr().out.split(" ", 1)
     assert int(steps) == 1000
     assert shape.strip() == "(2, 512)"
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch):
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "rdspectral"
+        assert main(argv[1:]) == 0, shlex.join(argv)
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text()
+    assert [name for name in rdspectral.__all__ if f"`{name}`" not in text] == []

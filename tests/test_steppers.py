@@ -3,12 +3,10 @@ import pytest
 
 from rdspectral import grid as spectral
 from rdspectral import steppers
-from rdspectral.grid import make_grid, state_from_physical
+from rdspectral.grid import State, make_grid, state_from_physical
 from rdspectral.models import ModelSpec, get_model, initial_condition
 from rdspectral.steppers import (BLOWUP_LIMIT, ERROR_FLOOR, BlowUpError,
-                                 StepControl, build_exp_tables, etdrk4_step,
-                                 etdrk4b_step, if_ck45_step, if_rk4_step,
-                                 integrate, linear_symbol)
+                                 StepControl, integrate, linear_symbol)
 
 # Cash-Karp tableau, restated independently for the scalar oracle
 CK_A = (0.0, 0.2, 0.3, 0.6, 1.0, 0.875)
@@ -54,6 +52,20 @@ def constant_state(grid, value):
     return state_from_physical(grid, [np.full(grid.shape, value)])
 
 
+def one_step(model, grid, scheme, state, dt, **kwargs):
+    """The state one fixed step of dt after ``state``."""
+    return integrate(model, grid, scheme=scheme, dt=dt, initial_state=state,
+                     t_final=state.t + dt, **kwargs).final_state
+
+
+def ck45_attempt(spec, grid, state, control):
+    """One Cash-Karp attempt: (new (u, uhat) or None, dt tried, scaled error)."""
+    p = spec.params()
+    N = steppers._spectral_reaction(spec, grid, p, None)
+    symbol = linear_symbol(grid, spec.diffusivities(p))
+    return steppers._ck45_attempt(N, grid, symbol, control, (state.u, state.uhat), state.t)
+
+
 def rk4_scalar(u, dt, f):
     k1 = f(u)
     k2 = f(u + 0.5 * dt * k1)
@@ -74,13 +86,13 @@ def ck45_scalar(u, dt, f):
 
 # -- per-step cost contracts ---------------------------------------------------
 
-@pytest.mark.parametrize("step_fn", [if_rk4_step, etdrk4_step, etdrk4b_step])
-def test_fixed_step_costs(step_fn, monkeypatch):
+@pytest.mark.parametrize("scheme", ["rk4", "etdrk4", "etdrk4b"],
+                         ids=["if_rk4_step", "etdrk4_step", "etdrk4b_step"])
+def test_fixed_step_costs(scheme, monkeypatch):
     spec = get_model("gray1d")
     grid = make_grid(64, 50.0, 1)
     state = constant_state(grid, 0.3)
     state = state_from_physical(grid, [state.u[0], np.full(grid.shape, 0.1)])
-    tables = build_exp_tables(linear_symbol(grid, (1.0, 0.01)), 0.1)
     counting = CountingModel(spec)
 
     calls = {"fwd": 0, "inv": 0}
@@ -89,7 +101,7 @@ def test_fixed_step_costs(step_fn, monkeypatch):
                         lambda g, f: calls.__setitem__("fwd", calls["fwd"] + 1) or real_fwd(g, f))
     monkeypatch.setattr(spectral, "inverse_real",
                         lambda g, f: calls.__setitem__("inv", calls["inv"] + 1) or real_inv(g, f))
-    step_fn(state, counting, grid, tables, 0.1)
+    one_step(counting, grid, scheme, state, 0.1)
     assert counting.nfev == 4
     assert calls == {"fwd": 4, "inv": 4}
 
@@ -107,8 +119,9 @@ def test_ck45_attempt_costs(monkeypatch):
                         lambda g, f: calls.__setitem__("fwd", calls["fwd"] + 1) or real_fwd(g, f))
     monkeypatch.setattr(spectral, "inverse_real",
                         lambda g, f: calls.__setitem__("inv", calls["inv"] + 1) or real_inv(g, f))
-    _, accepted, _ = if_ck45_step(state, counting, grid, control)
-    assert accepted
+    summary = integrate(counting, grid, scheme="ck45", control=control,
+                        initial_state=state, t_final=state.t + 0.05)
+    assert summary.steps == summary.accepted == 1
     assert counting.nfev == 6          # six tableau stages
     assert calls["fwd"] == 6           # one transform per stage rate
     assert calls["inv"] == 5 + 2       # five stage states plus both solutions
@@ -122,17 +135,16 @@ def test_ck45_attempt_costs(monkeypatch):
 def test_rk4_reduces_to_classical_on_zero_mode():
     grid = make_grid(16, 1.0, 1)
     state = constant_state(grid, 0.2)
-    tables = build_exp_tables(linear_symbol(grid, (1.0,)), 0.1)
     spec = get_model("fisher1d")
     f = lambda u: u * (1.0 - u)
 
-    stepped = if_rk4_step(state, spec, grid, tables, 0.1)
+    stepped = one_step(spec, grid, "rk4", state, 0.1)
     want = rk4_scalar(0.2, 0.1, f)
     assert np.allclose(stepped.u, want, rtol=1e-13)
     assert stepped.u.std() < 1e-15  # stays spatially constant
 
     for _ in range(9):
-        stepped = if_rk4_step(stepped, spec, grid, tables, 0.1)
+        stepped = one_step(spec, grid, "rk4", stepped, 0.1)
     scalar = 0.2
     for _ in range(10):
         scalar = rk4_scalar(scalar, 0.1, f)
@@ -146,10 +158,10 @@ def test_ck45_reduces_to_classical_on_zero_mode():
     spec = get_model("fisher1d")
     f = lambda u: u * (1.0 - u)
 
-    new_state, accepted, err = if_ck45_step(state, spec, grid, control)
+    new, _, err = ck45_attempt(spec, grid, state, control)
     u5, u4 = ck45_scalar(0.2, 0.1, f)
-    assert accepted
-    assert np.allclose(new_state.u, u5, rtol=1e-12)
+    assert new is not None
+    assert np.allclose(new[0], u5, rtol=1e-12)
     want_err = abs(u5 - u4) / (1e-4 * (0.2 + ERROR_FLOOR))
     assert err == pytest.approx(want_err, rel=1e-6)
 
@@ -160,11 +172,10 @@ def test_etd_schemes_agree_on_zero_mode_logistic():
     grid = make_grid(16, 1.0, 1)
     state = constant_state(grid, 0.2)
     dt = 1e-2
-    tables = build_exp_tables(linear_symbol(grid, (1.0,)), dt)
     spec = get_model("fisher1d")
     want = rk4_scalar(0.2, dt, lambda u: u * (1.0 - u))
-    for step_fn in (etdrk4_step, etdrk4b_step):
-        got = step_fn(state, spec, grid, tables, dt)
+    for scheme in ("etdrk4", "etdrk4b"):
+        got = one_step(spec, grid, scheme, state, dt)
         assert np.allclose(got.u, want, atol=1e-11)
 
 
@@ -192,8 +203,9 @@ def test_ck45_growth_is_clamped():
     control = StepControl(dt=0.01, rel_tol=1e-4, dt_max=5.0)
     proposals = []
     for _ in range(6):
-        state, accepted, _ = if_ck45_step(state, spec, grid, control)
-        assert accepted
+        new, dt, _ = ck45_attempt(spec, grid, state, control)
+        assert new is not None
+        state = State(t=state.t + dt, u=new[0], uhat=new[1])
         proposals.append(control.dt)
     assert proposals == [0.05, 0.25, 1.25, 5.0, 5.0, 5.0]
 
@@ -203,8 +215,8 @@ def test_ck45_rejection_shrinks():
     grid = make_grid(32, 1.0, 1)
     state = constant_state(grid, 0.5)
     control = StepControl(dt=4.0, rel_tol=1e-12, dt_max=5.0)  # hopeless tolerance
-    _, accepted, err = if_ck45_step(state, spec, grid, control)
-    assert not accepted and err > 1.0
+    new, _, err = ck45_attempt(spec, grid, state, control)
+    assert new is None and err > 1.0
     assert control.dt < 4.0
     assert control.dt >= 0.4  # shrink is floored at one tenth
     assert control.rejected == 1
@@ -295,14 +307,6 @@ def test_integrate_validation():
         integrate("gray1d", g, scheme="rk4", dt=0.1, t_final=1.0, snap_every=0.0)
 
 
-def test_tables_dt_mismatch_rejected():
-    grid = make_grid(16, 1.0, 1)
-    tables = build_exp_tables(linear_symbol(grid, (1.0,)), 0.1)
-    state = constant_state(grid, 0.2)
-    with pytest.raises(ValueError, match="built for dt"):
-        if_rk4_step(state, get_model("fisher1d"), grid, tables, 0.2)
-
-
 def test_dealias_masks_reaction_contributions():
     # a band-limited field stays band-limited through a dealiased step:
     # the masked increments add nothing outside the kept band, and the
@@ -314,14 +318,12 @@ def test_dealias_masks_reaction_contributions():
     # mode 10 is inside the kept band (|k| <= 16) but its square reaches 20
     u = 0.2 + 0.1 * np.sin(w[1] * x) + 0.05 * np.cos(w[10] * x)
     state = state_from_physical(grid, [u])
-    tables = build_exp_tables(linear_symbol(grid, (1.0,)), 0.05)
     mask = spectral.dealias_mask(grid)
 
-    stepped = if_rk4_step(state, get_model("fisher1d"), grid, tables, 0.05,
-                          mask=mask)
+    stepped = one_step("fisher1d", grid, "rk4", state, 0.05, dealias=True)
     out_of_band = np.abs(stepped.uhat[0][~mask])
     assert np.max(out_of_band) < 1e-11
-    plain = if_rk4_step(state, get_model("fisher1d"), grid, tables, 0.05)
+    plain = one_step("fisher1d", grid, "rk4", state, 0.05)
     assert np.max(np.abs(plain.uhat[0][~mask])) > 1e-11  # the mask did something
 
 
@@ -391,17 +393,9 @@ def test_tables_built_once_per_distinct_dt(scheme, monkeypatch):
     built = []
     real = steppers._build_tables
     monkeypatch.setattr(steppers, "_build_tables",
-                        lambda symbol, dt, with_phi=True:
-                        built.append((dt, with_phi)) or real(symbol, dt, with_phi))
+                        lambda name, symbol, dt:
+                        built.append((name, dt)) or real(name, symbol, dt))
     # two full steps at 0.1, then a shortened one: two distinct step sizes
     integrate("gray1d", make_grid(64, 50.0, 1), scheme=scheme, dt=0.1, t_final=0.25)
-    assert len(built) == len({dt for dt, _ in built}) == 2
-    assert all(with_phi == (scheme != "rk4") for _, with_phi in built)
-
-
-def test_etd_step_needs_phi_tables():
-    grid = make_grid(16, 1.0, 1)
-    tables = linear_symbol(grid, (1.0,)).tables(0.1, with_phi=False)
-    assert tables.phi0_full is None
-    with pytest.raises(ValueError, match="phi tables"):
-        etdrk4_step(constant_state(grid, 0.2), get_model("fisher1d"), grid, tables, 0.1)
+    assert len(built) == len({dt for _, dt in built}) == 2
+    assert all(name == scheme for name, _ in built)
