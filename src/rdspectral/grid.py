@@ -2,17 +2,23 @@
 
 Domains are [-L, L) per axis with evenly spaced nodes x_i = -L + 2*L*i/n.
 Every field is real, so its spectrum is Hermitian and only half of it is
-stored: the forward transform is the unnormalized real-to-complex FFT
-(``rfftn``), which keeps the nonnegative x wavenumbers 0..nx/2, and the
-inverse (``irfftn``) carries the 1/n**dims factor and returns a real field.
-Two-dimensional fields are stored with x on the last (fastest) axis, so x
-is the halved axis: a field of shape (ny, nx) has a spectrum of shape
-(ny, nx//2 + 1), and a 1D field of length n one of length n//2 + 1.
+stored.  Two-dimensional fields are stored with x on the last (fastest)
+axis, so x is the halved axis: a field of shape (ny, nx) has a spectrum of
+shape (ny, nx//2 + 1), and a 1D field of length n one of length n//2 + 1.
+
+The forward transform is unnormalized: ``rfft`` over x, which keeps the
+nonnegative x wavenumbers 0..nx/2, then, in 2D, ``fft`` over y.  The
+inverse runs ``ifft`` over y (in 2D), then ``irfft(n=nx)`` over x, each
+carrying its 1/n factor, and returns a real field.  These are the
+one-axis calls ``rfftn``/``irfftn`` make, in the same order, so results
+are bit for bit theirs, without their per-call argument handling: a 1D
+transform is a single call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,17 +64,19 @@ class GridSpec:
     omega: tuple[np.ndarray, ...]
     omega_sq: np.ndarray
 
-    @property
+    # shape, spectral_shape and axes are built once per grid, as every
+    # transform reads them
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         # field storage shape: x fastest, so the axis order is reversed
         return tuple(self.n[::-1])
 
-    @property
+    @cached_property
     def spectral_shape(self) -> tuple[int, ...]:
         # half spectrum of a real field: x, stored last, keeps modes 0..nx/2
         return self.shape[:-1] + (self.n[0] // 2 + 1,)
 
-    @property
+    @cached_property
     def axes(self) -> tuple[int, ...]:
         return tuple(range(-self.dims, 0))
 
@@ -153,7 +161,10 @@ def forward(grid: GridSpec, field: np.ndarray) -> np.ndarray:
     """
     field = np.asarray(field)
     _check_field(grid, field)
-    return np.fft.rfftn(field, axes=grid.axes)
+    spectral = np.fft.rfft(field)
+    if grid.dims == 2:
+        spectral = np.fft.fft(spectral, axis=-2)
+    return spectral
 
 
 def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
@@ -162,7 +173,9 @@ def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
     if spectral.shape[-grid.dims:] != grid.spectral_shape:
         raise ValueError(f"spectrum shape {spectral.shape} does not end in grid "
                          f"spectral shape {grid.spectral_shape}")
-    return np.fft.irfftn(spectral, s=grid.shape, axes=grid.axes)
+    if grid.dims == 2:
+        spectral = np.fft.ifft(spectral, axis=-2)
+    return np.fft.irfft(spectral, n=grid.n[0])
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:

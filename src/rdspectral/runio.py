@@ -243,8 +243,9 @@ class RunWriter:
         index += [f"{k},{t:.17g},{name},{crc}" for k, t, name, crc in self.rows]
         (self.dir / "snapshots.csv").write_text("\n".join(index) + "\n")
         for s in range(self._species_count()):
-            lines = [",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in u[s]])
-                     for t, u in self._profiles]
+            # one %-format per row; its %.17g writes what f"{v:.17g}" writes
+            row = ",".join(["%.17g"] * (1 + self.grid.n[0]))
+            lines = [row % ((t,) + tuple(u[s].tolist())) for t, u in self._profiles]
             if lines:
                 (self.dir / f"spacetime_{s}.csv").write_text("\n".join(lines) + "\n")
         lines = [f"status = {status}"]
@@ -302,23 +303,33 @@ def read_index(run_dir) -> list[tuple[int, float, str, int]]:
     return rows
 
 
+def _fields_shape(run_dir: Path) -> tuple[int, ...]:
+    header = read_header(run_dir)
+    return (header["species"],) + tuple(reversed(header["n"]))
+
+
+def _read_fields(run_dir: Path, name: str, crc: int, shape) -> np.ndarray:
+    payload = (run_dir / name).read_bytes()
+    if zlib.crc32(payload) != crc:
+        raise ValueError(f"checksum mismatch for {name} in {run_dir}")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
+
+
 def load_snapshot(run_dir, index: int) -> tuple[float, np.ndarray]:
     """One snapshot as (t, fields (S, *shape)); payload CRC is verified."""
     run_dir = Path(run_dir)
-    header = read_header(run_dir)
+    shape = _fields_shape(run_dir)
     rows = {k: (t, name, crc) for k, t, name, crc in read_index(run_dir)}
     if index not in rows:
         raise ValueError(f"no snapshot {index} in {run_dir}")
     t, name, crc = rows[index]
-    payload = (run_dir / name).read_bytes()
-    if zlib.crc32(payload) != crc:
-        raise ValueError(f"checksum mismatch for {name} in {run_dir}")
-    shape = (header["species"],) + tuple(reversed(header["n"]))
-    fields = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
-    return t, fields
+    return t, _read_fields(run_dir, name, crc, shape)
 
 
 def iter_snapshots(run_dir):
-    """Yield (t, fields) for every indexed snapshot, in order."""
-    for k, _, _, _ in read_index(run_dir):
-        yield load_snapshot(run_dir, k)
+    """Yield (t, fields) for every indexed snapshot, in order, reading
+    the header and the index once; each payload's CRC is verified."""
+    run_dir = Path(run_dir)
+    shape = _fields_shape(run_dir)
+    for _, t, name, crc in read_index(run_dir):
+        yield t, _read_fields(run_dir, name, crc, shape)

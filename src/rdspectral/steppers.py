@@ -24,7 +24,8 @@ builder of that coefficient data, and one stage loop runs them all:
 The phi coefficient functions are evaluated by the direct formulas away
 from the origin and by a contour mean near it, where the formulas lose
 digits to cancellation; each builder evaluates only the values its rows
-read, so the integrating-factor schemes evaluate no phi.  Every scheme
+read, so the integrating-factor schemes evaluate no phi, and the orders it
+reads at one argument share their exponentials.  Every scheme
 reproduces pure diffusion exactly (to rounding) when the reaction
 vanishes, at any step size.
 """
@@ -64,6 +65,7 @@ class BlowUpError(RuntimeError):
     def __init__(self, t: float, max_abs: float, detail: str = ""):
         self.t = t
         self.max_abs = max_abs
+        self.detail = detail  # where it failed, e.g. "rk4 stage 3" or "adi step"
         msg = f"solution blew up at t={t:.6g} (max |u| = {max_abs:.3g})"
         if detail:
             msg += f" [{detail}]"
@@ -74,21 +76,53 @@ class StepSizeError(RuntimeError):
     """The adaptive controller could not find an acceptable step above dt_min."""
 
 
-def _check_stage(u: np.ndarray, t: float, detail: str) -> None:
-    m = np.max(np.abs(u))
-    if not np.isfinite(m) or m > BLOWUP_LIMIT:
-        raise BlowUpError(t, float(m), detail)
+def _check_stage(u: np.ndarray, t: float, *where) -> None:
+    """Raise BlowUpError if u holds a non-finite value or one beyond
+    BLOWUP_LIMIT.  ``where`` names the stage; it is joined into the
+    detail text only on failure, as this runs at every stage."""
+    m = np.abs(u).max()
+    if not m <= BLOWUP_LIMIT:  # also true for nan
+        raise BlowUpError(t, float(m), " ".join(str(w) for w in where))
 
 
 # -- phi coefficient functions -------------------------------------------------
 
-def _phi_direct(k: int, z: np.ndarray) -> np.ndarray:
-    e = np.exp(z)
+def _phi_direct(k: int, z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # e = exp(z), when the caller already has it
+    if e is None:
+        e = np.exp(z)
     if k == 0:
         return (e - 1.0) / z
     if k == 1:
         return (e - 1.0 - z) / (z * z)
     return (e - 1.0 - z - 0.5 * (z * z)) / (z * z * z)
+
+
+def _phis(z, orders) -> list[np.ndarray]:
+    """[phi(k, z) for k in orders], bit for bit, from one exp per point
+    (one per contour point near the origin) shared by all the orders."""
+    z_in = np.asarray(z)
+    flat = z_in.ravel().astype(complex)
+    outs = [np.empty(flat.shape, dtype=complex) for _ in orders]
+    small = np.abs(flat) <= PHI_CONTOUR_THRESHOLD
+    big = ~small
+    if np.any(big):
+        far = flat[big]
+        e = np.exp(far)
+        for k, out in zip(orders, outs):
+            out[big] = _phi_direct(k, far, e)
+    if np.any(small):
+        ring = flat[small, None] + _PHI_POINTS
+        e = np.exp(ring)
+        for k, out in zip(orders, outs):
+            out[small] = _phi_direct(k, ring, e).mean(axis=-1)
+    values = []
+    for out in outs:
+        out = out.reshape(z_in.shape)
+        if not np.iscomplexobj(z_in):
+            out = out.real
+        values.append(out[()] if out.ndim == 0 else out)
+    return values
 
 
 def phi(k: int, z) -> np.ndarray:
@@ -102,19 +136,7 @@ def phi(k: int, z) -> np.ndarray:
     """
     if k not in (0, 1, 2):
         raise ValueError(f"phi index must be 0, 1 or 2, got {k}")
-    z_in = np.asarray(z)
-    flat = z_in.ravel().astype(complex)
-    out = np.empty(flat.shape, dtype=complex)
-    small = np.abs(flat) <= PHI_CONTOUR_THRESHOLD
-    if np.any(~small):
-        out[~small] = _phi_direct(k, flat[~small])
-    if np.any(small):
-        ring = flat[small, None] + _PHI_POINTS
-        out[small] = _phi_direct(k, ring).mean(axis=-1)
-    out = out.reshape(z_in.shape)
-    if not np.iscomplexobj(z_in):
-        out = out.real
-    return out[()] if out.ndim == 0 else out
+    return _phis(z, (k,))[0]
 
 
 # -- linear symbol ---------------------------------------------------------------
@@ -174,10 +196,10 @@ def _exp_rk_step(N, grid: GridSpec, u: np.ndarray, U: np.ndarray, t: float, dt: 
             acc += term
         u_i = spectral.inverse_real(grid, acc)
         if i < len(stages):
-            _check_stage(u_i, t, f"{label} stage {i + 2}")
+            _check_stage(u_i, t, label, "stage", i + 2)
             Ns.append(N(u_i))
         else:
-            _check_stage(u_i, t + dt, f"{label} update")
+            _check_stage(u_i, t + dt, label, "update")
             out.append((u_i, acc))
     return out
 
@@ -214,14 +236,14 @@ def _etdrk4_tableau(z: np.ndarray, dt: float):
     stages = ((Eh, ((0, a),)),
               (Eh, ((1, a),)),
               (E, ((0, a * (Eh - 1.0)), (2, 2.0 * a))))
-    return stages, (_etd_update(E, phi(0, z), phi(1, z), phi(2, z), dt),)
+    return stages, (_etd_update(E, *_phis(z, (0, 1, 2)), dt),)
 
 
 def _etdrk4b_tableau(z: np.ndarray, dt: float):
     zh = 0.5 * z
     E, Eh = np.exp(z), np.exp(zh)
-    p0, p1, p2 = phi(0, z), phi(1, z), phi(2, z)
-    h0, h1 = phi(0, zh), phi(1, zh)
+    p0, p1, p2 = _phis(z, (0, 1, 2))
+    h0, h1 = _phis(zh, (0, 1))
     stages = ((Eh, ((0, (0.5 * dt) * h0),)),
               (Eh, ((0, (0.5 * dt) * (h0 - 2.0 * h1)), (1, dt * h1))),
               (E, ((0, dt * (p0 - 2.0 * p1)), (2, (2.0 * dt) * p1))))
@@ -475,7 +497,7 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
                     next_snap += snap_every
     except BlowUpError as exc:
         raise BlowUpError(exc.t, exc.max_abs,
-                          f"model={spec.name} scheme={scheme}") from exc
+                          f"model={spec.name} scheme={scheme}: {exc.detail}") from exc
 
     wall = time.perf_counter() - started
     if t > emitted.t:

@@ -92,6 +92,29 @@ def test_contour_agrees_with_direct_formula_near_threshold():
             assert abs(contour - direct) < 1e-12
 
 
+def _phi_one_order(k, z):
+    # phi as evaluated one order at a time, each with its own exponentials
+    from rdspectral.steppers import _PHI_POINTS, _phi_direct
+    flat = np.asarray(z).ravel().astype(complex)
+    out = np.empty(flat.shape, dtype=complex)
+    small = np.abs(flat) <= PHI_CONTOUR_THRESHOLD
+    out[~small] = _phi_direct(k, flat[~small])
+    out[small] = _phi_direct(k, flat[small, None] + _PHI_POINTS).mean(axis=-1)
+    return out.reshape(np.shape(z)).real
+
+
+def test_shared_exponentials_give_the_same_bits():
+    # the orders at one argument share exp(z) and the contour's exp, and
+    # still equal one-order-at-a-time evaluation bit for bit
+    spec = get_model("gray2d")
+    symbol = linear_symbol(make_grid(32, 25.0, 2), spec.diffusivities(spec.params()))
+    for z in (symbol * 0.1, 0.05 * symbol, np.linspace(-3.0, 0.0, 61)):
+        values = steppers._phis(z, (0, 1, 2))
+        for k, got in enumerate(values):
+            assert np.array_equal(got, _phi_one_order(k, z))
+        assert np.array_equal(steppers._phis(z, (1,))[0], values[1])
+
+
 def test_complex_input_matches_direct_formula():
     z = np.array([1.0 + 1.0j, -2.0 + 0.5j, 3.0j])
     got = phi(0, z)

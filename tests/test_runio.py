@@ -214,6 +214,42 @@ def test_corrupted_payload_is_detected(tmp_path):
         load_snapshot(tmp_path, 99)
 
 
+def test_iter_snapshots_reads_the_index_once(tmp_path, monkeypatch):
+    from rdspectral import runio
+    _small_run(tmp_path, snap_every=0.25)
+    calls = []
+    real = runio.read_index
+    monkeypatch.setattr(runio, "read_index", lambda d: calls.append(d) or real(d))
+    loaded = list(iter_snapshots(tmp_path))
+    assert len(loaded) == 3 and len(calls) == 1
+    for k, (t, fields) in enumerate(loaded):
+        t_k, fields_k = load_snapshot(tmp_path, k)
+        assert t == t_k and np.array_equal(fields, fields_k)
+    target = tmp_path / "snap_00001.bin"
+    payload = bytearray(target.read_bytes())
+    payload[9] ^= 0x01
+    target.write_bytes(bytes(payload))
+    with pytest.raises(ValueError, match="checksum mismatch for snap_00001.bin"):
+        list(iter_snapshots(tmp_path))
+
+
+def test_spacetime_csv_bytes_match_per_value_formatting(tmp_path):
+    from rdspectral.grid import State
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1.8e308,
+               -1.0 / 3.0, 0.1, 1e22, 123456789.0]
+    grid = make_grid(len(special), 5.0, 1)
+    writer = RunWriter(tmp_path, grid, "gray1d", 2)
+    profiles = [(0.0, np.array([special, special[::-1]])),
+                (0.30000000000000004, np.array([special[::-1], special]))]
+    for t, u in profiles:
+        writer(State(t=t, u=u, uhat=np.zeros((2, len(special) // 2 + 1), complex)))
+    writer.finish()
+    for s in (0, 1):
+        want = "".join(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in u[s]]) + "\n"
+                       for t, u in profiles)
+        assert (tmp_path / f"spacetime_{s}.csv").read_bytes() == want.encode()
+
+
 def test_summary_contents(tmp_path):
     _, _, summary = _small_run(tmp_path)
     text = (tmp_path / "summary.txt").read_text()

@@ -275,6 +275,26 @@ def test_blowup_error_carries_context():
     assert 0.0 < err.t <= 5.0
     assert err.max_abs > BLOWUP_LIMIT
     assert "fisher1d" in str(err) and "rk4" in str(err)
+    # the stage that failed survives integrate's re-raise
+    assert "stage" in err.detail or "update" in err.detail
+    assert err.detail in str(err)
+    assert "rk4 stage" in str(err) or "rk4 update" in str(err)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(BLOWUP_LIMIT, np.inf)])
+def test_check_stage_rejects_non_finite_and_over_limit(bad):
+    u = np.zeros((2, 8))
+    u[1, 3] = bad
+    with pytest.raises(BlowUpError) as excinfo:
+        steppers._check_stage(u, 1.5, "rk4", "stage", 3)
+    assert excinfo.value.t == 1.5 and excinfo.value.detail == "rk4 stage 3"
+    assert "rk4 stage 3" in str(excinfo.value)
+
+
+def test_check_stage_passes_the_limit_itself():
+    u = np.zeros((2, 8))
+    u[0, 0], u[1, 7] = BLOWUP_LIMIT, -BLOWUP_LIMIT
+    steppers._check_stage(u, 0.0, "rk4", "update")
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "ck45", "etdrk4", "etdrk4b", "adi"])
