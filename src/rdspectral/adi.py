@@ -35,8 +35,7 @@ class _AdiFactors:
     dt: float
     implicit_inv: np.ndarray    # [I - (dt/2) d D]^-1, applied from the left
     implicit_inv_t: np.ndarray  # [I - (dt/2) d D^T]^-1, applied from the right
-    explicit_left: np.ndarray   # [I + (dt/2) d D]
-    explicit_right: np.ndarray  # [I + (dt/2) d D^T]
+    explicit_left: np.ndarray   # [I + (dt/2) d D]; D is symmetric, so also applied from the right
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ def _build_factors(d_matrix: np.ndarray, dt: float, diffusivity: float) -> _AdiF
         implicit_inv=implicit_inv,
         implicit_inv_t=np.ascontiguousarray(implicit_inv.T),
         explicit_left=eye + half,
-        explicit_right=np.ascontiguousarray((eye + half).T),
     )
 
 
@@ -109,7 +107,7 @@ def adi_step(u: np.ndarray, reaction, factors: _AdiFactors) -> np.ndarray:
     """
     half_dt = 0.5 * factors.dt
     f0 = reaction(u)
-    u_half = factors.implicit_inv @ (u @ factors.explicit_right + half_dt * f0)
+    u_half = factors.implicit_inv @ (u @ factors.explicit_left + half_dt * f0)
     f_mid = 2.0 * reaction(u_half) - f0
     return (factors.explicit_left @ u_half + half_dt * f_mid) @ factors.implicit_inv_t
 
@@ -123,6 +121,8 @@ def _adi_problem(model: ModelSpec, grid: GridSpec | None = None) -> str | None:
         return "the ADI scheme is two-dimensional only"
     if grid.n[0] != grid.n[1] or grid.half_length[0] != grid.half_length[1]:
         return "the ADI scheme needs a square grid"
+    if grid.n[0] < 4:
+        return f"the ADI scheme needs n >= 4, got {grid.n[0]}"
     if model.species != 1:
         return f"the ADI scheme handles single-species models, {model.name} has {model.species}"
     return None

@@ -16,6 +16,7 @@ configuration or arguments, 2 numerical abort (blow-up or step failure).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from .grid import make_grid, state_from_physical
 from .harness import convergence_study
 from .models import MODELS, default_timestep, get_model
 from .postprocess import fourier_upsample_1d, fourier_upsample_2d
-from .runio import (ConfigError, RunConfig, RunWriter, load_config, load_snapshot,
-                    read_header, read_index)
+from .runio import (_SETTINGS, ConfigError, RunConfig, RunWriter, _parse_bool,
+                    load_config, load_snapshot, read_header, read_index)
 from .steppers import BlowUpError, StepControl, StepSizeError, integrate
 
 __all__ = ["main"]
@@ -46,6 +47,11 @@ def _parse_params(pairs, problems) -> dict:
     return out
 
 
+def _given(obj, names) -> dict:
+    """The attributes among ``names`` that are set (not None), by name."""
+    return {name: getattr(obj, name) for name in names if getattr(obj, name) is not None}
+
+
 def _merge_config(args, problems) -> RunConfig | None:
     """File config overlaid with whatever flags were given."""
     base = None
@@ -59,29 +65,15 @@ def _merge_config(args, problems) -> RunConfig | None:
             problems.append(f"cannot read config: {err}")
             return None
 
-    def pick(flag, key):
-        return flag if flag is not None else (getattr(base, key) if base else None)
-
     params = dict(base.params) if base else {}
     params.update(_parse_params(args.param, problems))
-    model = pick(args.model, "model")
-    if model is None:
+    given = _given(args, _SETTINGS)
+    if base:
+        return dataclasses.replace(base, **given, params=params)
+    if "model" not in given:
         problems.append("model is required (--model or a config file)")
         return None
-    scheme = pick(args.scheme, "scheme")
-    return RunConfig(
-        model=model,
-        scheme=scheme if scheme is not None else "rk4",
-        n=pick(args.n, "n"),
-        half_length=pick(args.L, "half_length"),
-        dt=pick(args.dt, "dt"),
-        rel_tol=pick(args.tol, "rel_tol"),
-        t_final=pick(args.t_final, "t_final"),
-        snap_every=pick(args.snap_every, "snap_every"),
-        out=pick(args.out, "out"),
-        dealias=bool(pick(args.dealias, "dealias")),
-        params=params,
-    )
+    return RunConfig(**given, params=params)
 
 
 def _fail(problems) -> int:
@@ -105,8 +97,7 @@ def _cmd_run(args) -> int:
                        config=cfg, snap_every=cfg.snap_every)
     control = None
     if cfg.scheme == "ck45":
-        control = StepControl(dt=cfg.dt if cfg.dt is not None else 0.1,
-                              rel_tol=cfg.rel_tol if cfg.rel_tol is not None else 1e-4)
+        control = StepControl(**_given(cfg, ("dt", "rel_tol")))
     try:
         summary = integrate(spec, grid, scheme=cfg.scheme, t_final=cfg.t_final,
                             dt=cfg.resolved_dt(), control=control, params=cfg.params,
@@ -129,19 +120,21 @@ def _cmd_compare(args) -> int:
     problems: list[str] = []
     params = _parse_params(args.param, problems)
     schemes = tuple(args.scheme) if args.scheme else ("rk4", "etdrk4", "etdrk4b")
+    gold = _given(args, ("gold_scheme", "gold_dt"))
     if not args.dt:
         problems.append("at least one --dt is required")
     elif any(dt <= 0 for dt in args.dt):
         problems.append("every --dt must be positive")
     if args.t_final is None or args.t_final < 0:
         problems.append("--t-final is required and must be nonnegative")
-    if args.gold_dt <= 0:
+    if args.gold_dt is not None and args.gold_dt <= 0:
         problems.append(f"--gold-dt must be positive, got {args.gold_dt:g}")
     # model, scheme, grid, adi and parameter checks are those of a run of each
     # scheme; t_final is checked above, under its flag's name
-    for scheme in dict.fromkeys(schemes + (args.gold_scheme,)):
-        cfg = RunConfig(model=args.model, scheme=scheme, n=args.n, half_length=args.L,
-                        t_final=0.0, dealias=bool(args.dealias), params=params)
+    shared = _given(args, ("n", "half_length", "dealias"))
+    gold_scheme = () if args.gold_scheme is None else (args.gold_scheme,)
+    for scheme in dict.fromkeys(schemes + gold_scheme):
+        cfg = RunConfig(model=args.model, scheme=scheme, t_final=0.0, params=params, **shared)
         problems.extend(p for p in cfg.validate() if p not in problems)
     if problems:
         return _fail(problems)
@@ -149,8 +142,7 @@ def _cmd_compare(args) -> int:
     try:
         study = convergence_study(args.model, schemes=schemes, dts=args.dt,
                                   t_final=args.t_final, grid=cfg.grid(), params=params,
-                                  gold_scheme=args.gold_scheme, gold_dt=args.gold_dt,
-                                  dealias=bool(args.dealias))
+                                  dealias=cfg.dealias, **gold)
     except (BlowUpError, StepSizeError) as err:
         print(f"error: gold run aborted, study cancelled: {err}", file=sys.stderr)
         return 2
@@ -244,20 +236,16 @@ def _cmd_describe(args) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--model", help="registered model name")
-    p.add_argument("--scheme", help="rk4 | ck45 | etdrk4 | etdrk4b | adi")
-    p.add_argument("--n", type=int, help="modes per direction")
-    p.add_argument("--L", type=float, help="domain half-length")
-    p.add_argument("--dt", type=float, help="fixed step (initial step for ck45)")
-    p.add_argument("--tol", type=float, help="relative tolerance for ck45")
-    p.add_argument("--t-final", type=float, dest="t_final")
-    p.add_argument("--snap-every", type=float, dest="snap_every",
-                   help="snapshot cadence in model time")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--dealias", action=argparse.BooleanOptionalAction,
-                   default=None, help="2/3-rule dealiasing of the reaction term")
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """One flag per run setting, --key (``_`` as ``-``), stored in its RunConfig field."""
+    for name in names:
+        key, parse, doc = _SETTINGS[name]
+        kind = (dict(action=argparse.BooleanOptionalAction) if parse is _parse_bool
+                else dict(type=parse, metavar=key.upper()))
+        p.add_argument("--" + key.replace("_", "-"), dest=name, help=doc, **kind)
+
+
+def _add_param_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="model parameter override (repeatable)")
 
@@ -269,24 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a model, write artifacts")
-    _add_run_flags(p_run)
+    p_run.add_argument("--config", help="key=value config file; flags override it")
+    _add_flags(p_run, *_SETTINGS)
+    _add_param_flag(p_run)
     p_run.set_defaults(func=_cmd_run)
 
+    gold = convergence_study.__kwdefaults__
     p_cmp = sub.add_parser("compare", help="convergence study against a gold run")
     p_cmp.add_argument("--model", required=True)
     p_cmp.add_argument("--scheme", action="append",
                        help="scheme to sweep (repeatable; default the three 4th-order ones)")
     p_cmp.add_argument("--dt", type=float, action="append",
                        help="step size in the sweep (repeatable)")
-    p_cmp.add_argument("--t-final", type=float, dest="t_final")
-    p_cmp.add_argument("--n", type=int)
-    p_cmp.add_argument("--L", type=float)
-    p_cmp.add_argument("--gold-scheme", default="etdrk4b", dest="gold_scheme")
-    p_cmp.add_argument("--gold-dt", type=float, default=1e-3, dest="gold_dt",
-                       help="gold step; 1e-3 is the desk-scale reference default")
+    _add_flags(p_cmp, "t_final", "n", "half_length")
+    p_cmp.add_argument("--gold-scheme", help=f"gold scheme (default {gold['gold_scheme']})")
+    p_cmp.add_argument("--gold-dt", type=float,
+                       help=f"gold step (default {gold['gold_dt']:g}, a desk-scale reference)")
     p_cmp.add_argument("--out", help="CSV path (default compare_<model>.csv)")
-    p_cmp.add_argument("--dealias", action=argparse.BooleanOptionalAction, default=None)
-    p_cmp.add_argument("--param", action="append", metavar="KEY=VALUE")
+    _add_flags(p_cmp, "dealias")
+    _add_param_flag(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_up = sub.add_parser("upsample", help="spectrally refine a stored snapshot")

@@ -30,6 +30,8 @@ __all__ = [
     "default_timestep",
 ]
 
+_DEFAULT_DT = 0.1  # default_timestep of a model that sets no timestep_of
+
 
 # -- pointwise reaction rates ------------------------------------------------
 # Association order is fixed (e.g. u * (v * v)) so that vectorized and
@@ -98,7 +100,8 @@ class ModelSpec:
 
     ``default_grid_args`` is (n, half_length, dims).  The callables take
     the fully merged parameter dict; ``rates`` maps a stacked field array
-    (species, ...) to stacked reaction rates of the same shape.
+    (species, ...) to stacked reaction rates of the same shape, and
+    ``timestep_of``, when set, gives the default step in place of 0.1.
     """
 
     name: str
@@ -110,6 +113,7 @@ class ModelSpec:
     rates: Callable = None
     diffusivities_of: Callable = None
     ic: Callable = None
+    timestep_of: Callable = None
 
     def params(self, overrides: Mapping[str, float] | None = None) -> dict:
         merged = dict(self.default_params)
@@ -323,6 +327,7 @@ AUTO = _register(ModelSpec(
     rates=_rates_auto,
     diffusivities_of=_d_pair,
     ic=_ic_auto,
+    timestep_of=lambda p: 0.02 if p["m"] >= 10.0 else _DEFAULT_DT,
 ))
 
 LABYRINTHE2D = _register(ModelSpec(
@@ -357,10 +362,8 @@ def default_grid(model: ModelSpec) -> GridSpec:
 
 
 def default_timestep(model: ModelSpec, params: Mapping[str, float] | None = None) -> float:
-    """0.1 across the board, except steep autocatalysis (m >= 10) gets 0.02."""
-    if model.name == "auto" and model.params(params)["m"] >= 10.0:
-        return 0.02
-    return 0.1
+    """0.1 unless the model sets ``timestep_of`` (``auto``: 0.02 for m >= 10)."""
+    return model.timestep_of(model.params(params)) if model.timestep_of else _DEFAULT_DT
 
 
 def initial_condition(model: ModelSpec | str, grid: GridSpec | None = None,

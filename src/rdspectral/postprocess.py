@@ -105,13 +105,11 @@ def front_position(u: np.ndarray, grid: GridSpec, threshold: float = 1e-4,
 
 @dataclass(frozen=True)
 class FrontTrace:
-    """Front positions X(t) at a fixed threshold, plus an optional fit."""
+    """Front positions X(t) at a fixed threshold."""
 
     times: np.ndarray
     positions: np.ndarray
     threshold: float
-    speed: float | None = None
-    window: tuple[float, float] | None = None
 
 
 def trace_front(states, grid: GridSpec, species: int = 0,

@@ -13,9 +13,12 @@ A run directory is a self-describing bundle:
                      profile of species s, 17 significant digits
 
 Config values are plain text: ``key = value`` lines, ``#`` comments,
-``param.<name>`` lines for model parameter overrides.  Every field a
-CLI flag can set has a config key; flags override the file.  Parsing
-and validation report all problems at once, never just the first.
+``param.<name>`` lines for model parameter overrides.  ``_SETTINGS`` is
+the one list of run settings: per RunConfig field, its config key, the
+parser of its text and the help of its CLI flag ``--key`` (``_`` as
+``-``).  The parser, ``config_to_text`` and the CLI flags all read it;
+flags override the file.  Parsing and validation report all problems
+at once, never just the first.
 """
 
 from __future__ import annotations
@@ -41,14 +44,33 @@ __all__ = [
     "read_index",
     "load_snapshot",
     "iter_snapshots",
-    "write_snapshot_file",
 ]
-
-_CONFIG_KEYS = ("model", "scheme", "n", "L", "dt", "tol", "t_final",
-                "snap_every", "out", "dealias")
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
+
+
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low not in _TRUE | _FALSE:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return low in _TRUE
+
+
+# RunConfig field: (config key, parser of its text, help of its flag), in config.txt order
+_SETTINGS = {
+    "model": ("model", str, "registered model name"),
+    "scheme": ("scheme", str, " | ".join(SCHEMES)),
+    "n": ("n", int, "modes per direction"),
+    "half_length": ("L", float, "domain half-length"),
+    "dt": ("dt", float, "fixed step (initial step for ck45)"),
+    "rel_tol": ("tol", float, "relative tolerance for ck45"),
+    "t_final": ("t_final", float, None),
+    "snap_every": ("snap_every", float, "snapshot cadence in model time"),
+    "out": ("out", str, "output directory"),
+    "dealias": ("dealias", _parse_bool, "2/3-rule dealiasing of the reaction term"),
+}
+_BY_KEY = {key: (name, parse) for name, (key, parse, _) in _SETTINGS.items()}
 
 
 class ConfigError(ValueError):
@@ -86,9 +108,11 @@ class RunConfig:
         if self.scheme not in SCHEMES:
             problems.append(
                 f"unknown scheme {self.scheme!r}; valid schemes: {', '.join(SCHEMES)}")
-        if self.n is not None and (self.n < 2 or self.n % 2):
+        bad_n = self.n is not None and (self.n < 2 or self.n % 2)
+        if bad_n:
             problems.append(f"n must be even and >= 2, got {self.n}")
-        if self.half_length is not None and self.half_length <= 0:
+        bad_l = self.half_length is not None and self.half_length <= 0
+        if bad_l:
             problems.append(f"L must be positive, got {self.half_length}")
         if self.dt is not None and self.dt <= 0:
             problems.append(f"dt must be positive, got {self.dt}")
@@ -100,8 +124,13 @@ class RunConfig:
             problems.append(f"t_final must be nonnegative, got {self.t_final}")
         if self.snap_every is not None and self.snap_every <= 0:
             problems.append(f"snap_every must be positive, got {self.snap_every}")
+        # config.txt cuts comments at '#', splits lines and strips values
+        if self.out and ("#" in self.out or self.out.strip().splitlines() != [self.out]):
+            problems.append("out cannot hold '#', a line break or leading or "
+                            f"trailing whitespace, got {self.out!r}")
         if self.scheme == "adi" and self.model in MODELS:
-            problem = _adi_problem(get_model(self.model))
+            grid = None if bad_n or bad_l else self.grid()  # None: the model's default
+            problem = _adi_problem(get_model(self.model), grid)
             if problem:
                 problems.append(f"scheme adi cannot run model {self.model}: {problem}")
         if self.scheme == "adi" and self.dealias:
@@ -143,22 +172,13 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         try:
             if key.startswith("param."):
                 values["params"][key[len("param."):]] = float(value)
-            elif key in ("model", "scheme", "out"):
-                values[key] = value
-            elif key == "n":
-                values["n"] = int(value)
-            elif key in ("L", "dt", "tol", "t_final", "snap_every"):
-                dest = {"L": "half_length", "tol": "rel_tol"}.get(key, key)
-                values[dest] = float(value)
-            elif key == "dealias":
-                low = value.lower()
-                if low not in _TRUE | _FALSE:
-                    raise ValueError(f"expected a boolean, got {value!r}")
-                values["dealias"] = low in _TRUE
+            elif key in _BY_KEY:
+                name, parse = _BY_KEY[key]
+                values[name] = parse(value)
             else:
                 problems.append(
                     f"{source}:{lineno}: unknown key {key!r}; valid keys: "
-                    f"{', '.join(_CONFIG_KEYS)}, param.<name>")
+                    f"{', '.join(_BY_KEY)}, param.<name>")
         except ValueError as err:
             problems.append(f"{source}:{lineno}: bad value for {key}: {err}")
     if "model" not in values:
@@ -174,30 +194,18 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_text(config: RunConfig) -> str:
-    lines = [f"model = {config.model}", f"scheme = {config.scheme}"]
-    for key, attr in (("n", "n"), ("L", "half_length"), ("dt", "dt"),
-                      ("tol", "rel_tol"), ("t_final", "t_final"),
-                      ("snap_every", "snap_every"), ("out", "out")):
-        value = getattr(config, attr)
-        if value is not None:
+    lines = []
+    for name, (key, parse, _) in _SETTINGS.items():
+        value = getattr(config, name)
+        if parse is _parse_bool:
+            lines.append(f"{key} = {'true' if value else 'false'}")
+        elif value is not None:
             # repr gives the shortest string that parses back to the same double
             lines.append(f"{key} = {value!r}" if isinstance(value, float)
                          else f"{key} = {value}")
-    lines.append(f"dealias = {'true' if config.dealias else 'false'}")
     for name in sorted(config.params):
         lines.append(f"param.{name} = {config.params[name]!r}")
     return "\n".join(lines) + "\n"
-
-
-def _payload_bytes(fields: np.ndarray) -> bytes:
-    return np.ascontiguousarray(fields, dtype="<f8").tobytes()
-
-
-def write_snapshot_file(path, fields: np.ndarray) -> int:
-    """Write one snapshot payload; returns its CRC-32."""
-    payload = _payload_bytes(fields)
-    Path(path).write_bytes(payload)
-    return zlib.crc32(payload)
 
 
 def _header_text(grid: GridSpec, model: str, species: int,
@@ -232,8 +240,9 @@ class RunWriter:
     def __call__(self, state: State) -> None:
         k = len(self.rows)
         name = f"snap_{k:05d}.bin"
-        crc = write_snapshot_file(self.dir / name, state.u)
-        self.rows.append((k, state.t, name, crc))
+        payload = np.ascontiguousarray(state.u, dtype="<f8").tobytes()
+        (self.dir / name).write_bytes(payload)
+        self.rows.append((k, state.t, name, zlib.crc32(payload)))
         if self.grid.dims == 1:
             self._profiles.append((state.t, np.array(state.u)))
 

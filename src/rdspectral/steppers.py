@@ -54,6 +54,8 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e10
 ERROR_FLOOR = 1e-8          # absolute floor in the ck45 error scale
+_SAFETY = 0.9               # ck45 step-size safety factor
+_DT_MIN = 1e-10             # smallest ck45 step; a rejection there raises StepSizeError
 PHI_CONTOUR_THRESHOLD = 0.5  # |z| at or below this uses the contour mean
 _PHI_POINTS = np.exp(2j * np.pi * np.arange(32) / 32)
 _EXP_CLAMP = 700.0           # cap on exp arguments; avoids inf * 0 = nan
@@ -312,8 +314,6 @@ class StepControl:
 
     dt: float = 0.1
     rel_tol: float = 1e-4
-    safety: float = 0.9
-    dt_min: float = 1e-10
     dt_max: float = 5.0
     accepted: int = 0
     rejected: int = 0
@@ -324,7 +324,7 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
     """One Cash-Karp attempt from y = (u, uhat) at control.dt, clamped to
     its bounds.  Returns (new y, or None on rejection; the dt tried; the
     scaled error) and leaves the next proposal in control.dt."""
-    dt = min(max(control.dt, control.dt_min), control.dt_max)
+    dt = min(max(control.dt, _DT_MIN), control.dt_max)
     try:
         (u5, U5), (u4, _) = _exp_rk_step(lambda v: dt * N(v), grid, *y, t, dt,
                                          _build_tables("ck45", symbol, dt), "ck45")
@@ -334,16 +334,16 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
         err = np.inf
 
     if err <= 1.0:
-        factor = 5.0 if err == 0.0 else min(5.0, control.safety * err ** -0.2)
-        control.dt = min(max(dt * factor, control.dt_min), control.dt_max)
+        factor = 5.0 if err == 0.0 else min(5.0, _SAFETY * err ** -0.2)
+        control.dt = min(max(dt * factor, _DT_MIN), control.dt_max)
         control.accepted += 1
         return (u5, U5), dt, err
-    shrink = 0.1 if not np.isfinite(err) else max(0.1, control.safety * err ** -0.25)
+    shrink = 0.1 if not np.isfinite(err) else max(0.1, _SAFETY * err ** -0.25)
     proposal = dt * shrink
-    if proposal < control.dt_min and dt <= control.dt_min:
+    if proposal < _DT_MIN and dt <= _DT_MIN:
         raise StepSizeError(
-            f"step rejected at dt_min={control.dt_min:g} (t={t:.6g}, scaled error {err:.3g})")
-    control.dt = min(max(proposal, control.dt_min), control.dt_max)
+            f"step rejected at dt_min={_DT_MIN:g} (t={t:.6g}, scaled error {err:.3g})")
+    control.dt = min(max(proposal, _DT_MIN), control.dt_max)
     control.rejected += 1
     return None, dt, err
 

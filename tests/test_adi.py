@@ -39,6 +39,16 @@ def test_symmetric():
     assert np.max(np.abs(diff.matrix - diff.matrix.T)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_explicit_factor_is_exactly_symmetric(n):
+    # adi_step applies the one explicit factor from both sides
+    diff = build_diff_matrix(n, 25.0)
+    assert np.array_equal(diff.matrix, diff.matrix.T)
+    for dt in (0.1, 0.05, 0.0333):
+        explicit = diff.factors(dt, 1.0).explicit_left
+        assert np.array_equal(explicit, explicit.T)
+
+
 def test_cosines_are_eigenvectors():
     n, L = 32, 25.0
     diff = build_diff_matrix(n, L)
@@ -161,6 +171,8 @@ def test_grid_requirements():
         adi_integrate("fisher2d", make_grid((32, 64), 25.0, 2), dt=0.1, t_final=1.0)
     with pytest.raises(ValueError, match="single-species"):
         adi_integrate("gray2d", make_grid(32, 25.0, 2), dt=0.1, t_final=1.0)
+    with pytest.raises(ValueError, match="the ADI scheme needs n >= 4, got 2"):
+        adi_integrate("fisher2d", make_grid(2, 5.0, 2), dt=0.1, t_final=0.2)
     with pytest.raises(ValueError, match="positive"):
         adi_integrate("fisher2d", make_grid(32, 25.0, 2), dt=0.0, t_final=1.0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from rdspectral.cli import main
 from rdspectral.models import MODELS
-from rdspectral.runio import load_config, load_snapshot, read_header
+from rdspectral.runio import RunConfig, load_config, load_snapshot, read_header
 
 
 def test_list_models_prints_registry_order(capsys):
@@ -74,6 +74,36 @@ def test_run_reports_all_config_problems(capsys):
     assert "n must be even" in err
     assert "t_final is required" in err
     assert "scheme adi cannot run model gray1d" in err
+
+
+def test_run_adi_on_a_too_small_grid_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "adi"
+    rc = main(["run", "--model", "fisher2d", "--scheme", "adi", "--n", "2", "--L", "5",
+               "--dt", "0.1", "--t-final", "0.2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: scheme adi cannot run model fisher2d: the ADI scheme needs n >= 4, got 2\n")
+    assert not out.exists()
+
+
+def test_run_rejects_an_out_config_txt_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "runs#3"
+    rc = main(["run", "--model", "fisher1d", "--t-final", "1", "--out", str(out)])
+    assert rc == 1
+    assert "out cannot hold '#'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_run_flag_sets_its_config_key(tmp_path):
+    # the flags and the config file name the same settings
+    out = tmp_path / "all"
+    rc = main(["run", "--model", "fisher1d", "--scheme", "rk4", "--n", "64", "--L", "20",
+               "--dt", "0.1", "--tol", "0.001", "--t-final", "0.2", "--snap-every", "0.1",
+               "--out", str(out), "--dealias", "--param", "delta=2"])
+    assert rc == 0
+    assert load_config(out / "config.txt") == RunConfig(
+        model="fisher1d", scheme="rk4", n=64, half_length=20.0, dt=0.1, rel_tol=1e-3,
+        t_final=0.2, snap_every=0.1, out=str(out), dealias=True, params={"delta": 2.0})
 
 
 def test_run_rejects_adi_with_dealias(tmp_path, capsys):
@@ -158,6 +188,17 @@ def test_run_adaptive_scheme_reports_rejections(tmp_path, capsys):
     assert "scheme = ck45" in (out / "summary.txt").read_text()
 
 
+def test_run_step_failure_exits_two_with_stepfail_summary(tmp_path, capsys):
+    out = tmp_path / "stepfail"
+    rc = main(["run", "--model", "fisher1d", "--scheme", "ck45", "--tol", "1e-300",
+               "--n", "64", "--L", "20", "--t-final", "1", "--out", str(out)])
+    assert rc == 2
+    assert "integration aborted: step rejected at dt_min=" in capsys.readouterr().err
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("status = stepfail\n")
+    assert "detail = step rejected at dt_min=1e-10" in summary
+
+
 # -------------------------------------------------------------------- compare
 
 def test_compare_writes_csv(tmp_path, capsys):
@@ -199,6 +240,16 @@ def test_compare_lists_every_grid_and_gold_problem(tmp_path, capsys):
     assert "n must be even and >= 2, got 7" in err
     assert "L must be positive, got -5.0" in err
     assert "--gold-dt must be positive, got -1" in err
+    assert not out.exists()
+
+
+def test_compare_adi_on_a_too_small_grid_exits_one(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--model", "fisher2d", "--scheme", "adi", "--n", "2", "--L", "5",
+               "--dt", "0.1", "--t-final", "0.2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: scheme adi cannot run model fisher2d: the ADI scheme needs n >= 4, got 2\n")
     assert not out.exists()
 
 

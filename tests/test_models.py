@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,12 @@ def test_default_timestep():
     assert default_timestep(get_model("auto")) == 0.1  # default m = 9
     assert default_timestep(get_model("auto"), {"m": 10.0}) == 0.02
     assert default_timestep(get_model("auto"), {"m": 2.0}) == 0.1
+
+
+def test_default_timestep_reads_the_model_not_its_name():
+    copy = dataclasses.replace(get_model("auto"), name="auto-copy")
+    assert default_timestep(copy, {"m": 10.0}) == 0.02
+    assert default_timestep(copy) == 0.1
 
 
 def test_vectorized_reactions_match_scalar_loops_exactly():

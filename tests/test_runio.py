@@ -30,6 +30,28 @@ def test_config_text_roundtrip():
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
+def test_config_text_bytes_are_pinned():
+    cfg = RunConfig(model="gray1d", scheme="etdrk4b", n=128, half_length=37.5,
+                    dt=0.03, rel_tol=2e-5, t_final=12.0, snap_every=0.4,
+                    out="runs/demo", dealias=True,
+                    params={"kill": 0.0625, "feed": 0.041})
+    assert config_to_text(cfg) == (
+        "model = gray1d\n"
+        "scheme = etdrk4b\n"
+        "n = 128\n"
+        "L = 37.5\n"
+        "dt = 0.03\n"
+        "tol = 2e-05\n"
+        "t_final = 12.0\n"
+        "snap_every = 0.4\n"
+        "out = runs/demo\n"
+        "dealias = true\n"
+        "param.feed = 0.041\n"
+        "param.kill = 0.0625\n")
+    assert config_to_text(RunConfig(model="fisher1d")) == (
+        "model = fisher1d\nscheme = rk4\ndealias = false\n")
+
+
 def test_config_roundtrip_via_disk(tmp_path):
     cfg = RunConfig(model="fisher1d", dt=0.1, t_final=1.0)
     path = tmp_path / "run.cfg"
@@ -65,6 +87,8 @@ def test_parse_reports_every_problem_with_line_numbers():
     assert "expected a boolean" in problems[2]
     assert "unknown key 'colour'" in problems[3]
     assert "param.<name>" in problems[3]
+    assert problems[3] == ("demo.cfg:4: unknown key 'colour'; valid keys: model, scheme, "
+                           "n, L, dt, tol, t_final, snap_every, out, dealias, param.<name>")
     assert problems[4] == "demo.cfg: model is required"
     assert str(exc.value).count("  - ") == 5
 
@@ -85,6 +109,30 @@ def test_validate_adi_requires_fisher2d():
     assert bad.validate() == [
         "scheme adi cannot run model gray1d: the ADI scheme is two-dimensional only"]
     assert RunConfig(model="fisher2d", scheme="adi", t_final=1.0).validate() == []
+
+
+def test_validate_adi_checks_the_configured_grid():
+    assert RunConfig(model="fisher2d", scheme="adi", n=2, half_length=5.0,
+                     t_final=0.2).validate() == [
+        "scheme adi cannot run model fisher2d: the ADI scheme needs n >= 4, got 2"]
+    assert RunConfig(model="fisher2d", scheme="adi", n=4, t_final=0.2).validate() == []
+    # an invalid n or L is reported once, and ADI is then asked about the default grid
+    assert RunConfig(model="fisher2d", scheme="adi", n=3, t_final=0.2).validate() == [
+        "n must be even and >= 2, got 3"]
+
+
+@pytest.mark.parametrize("out", ["runs/#3", "a\nscheme = ck45", "a\rb", " runs/x",
+                                 "runs/x ", "runs/x\n"])
+def test_validate_rejects_an_out_config_txt_cannot_hold(out):
+    cfg = RunConfig(model="fisher1d", t_final=1.0, out=out)
+    try:  # why it is refused: its config.txt reloads as another config, or not at all
+        assert parse_config_text(config_to_text(cfg)) != cfg
+    except ConfigError:
+        pass
+    problems = cfg.validate()
+    assert len(problems) == 1
+    assert problems[0].startswith("out cannot hold '#', a line break")
+    assert repr(out) in problems[0]
 
 
 def test_validate_rejects_adi_with_dealias():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from rdspectral import steppers
 from rdspectral.grid import State, make_grid, state_from_physical
 from rdspectral.models import ModelSpec, get_model, initial_condition
 from rdspectral.steppers import (BLOWUP_LIMIT, ERROR_FLOOR, BlowUpError,
-                                 StepControl, integrate, linear_symbol)
+                                 StepControl, StepSizeError, integrate, linear_symbol)
 
 # Cash-Karp tableau, restated independently for the scalar oracle
 CK_A = (0.0, 0.2, 0.3, 0.6, 1.0, 0.875)
@@ -223,6 +225,15 @@ def test_ck45_rejection_shrinks():
 
 
 # -- driver behavior --------------------------------------------------------------
+
+def test_ck45_raises_step_size_error_when_no_step_is_finite():
+    never_finite = dataclasses.replace(get_model("fisher1d"),
+                                       rates=lambda u, p: np.full_like(u, np.inf))
+    with pytest.raises(StepSizeError, match="step rejected at dt_min=1e-10"), \
+            np.errstate(invalid="ignore"):
+        integrate(never_finite, make_grid(32, 10.0, 1), scheme="ck45", t_final=1.0,
+                  control=StepControl(rel_tol=1e-4))
+
 
 def test_snapshot_cadence_times():
     times = []
