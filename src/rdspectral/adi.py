@@ -9,21 +9,23 @@ splitting is second order in dt and every step costs dense matrix
 multiplies, so the scheme exists purely as an accuracy and cost
 baseline for square two-dimensional single-species runs.
 
-The scheme runs through the shared run loop, ``integrate(...,
-scheme="adi")``: this module supplies the stepper, which carries the
-physical field and transforms it only for a snapshot or the final
-state.  ``adi_integrate`` is the same run on a caller's DiffMatrix.
+This module holds the dense algebra: the matrix, its step factors and
+one step.  The run itself is ``integrate(..., scheme="adi")`` in the
+shared run loop, which carries the physical field and transforms it
+only for a snapshot or the final state; ``adi_integrate`` is that call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, State
-from .models import ModelSpec, default_grid as _default_grid
-from .steppers import RunSummary, _check_stage, _Counted, _drive, _Stepper
+# steppers imports this module for the algebra; adi_integrate looks up
+# steppers.integrate only when called, so the two modules import cleanly
+from . import steppers
+from .grid import GridSpec, State, _broken_bound
+from .models import ModelSpec
 
 __all__ = ["DiffMatrix", "build_diff_matrix", "adi_step", "adi_integrate"]
 
@@ -43,44 +45,35 @@ class DiffMatrix:
     """Dense second-derivative operator for one periodic direction.
 
     ``matrix`` rows sum to zero (constants are annihilated) and the
-    matrix is symmetric; both hold to rounding by construction.  Step
-    factors are built once per (dt, diffusivity) pair and memoized.
+    matrix is symmetric; both hold to rounding by construction.
+    ``factors`` builds the step factors of one (dt, diffusivity) pair; a
+    run builds them once per step size and keeps them itself.
     """
 
     n: int
     half_length: float
     matrix: np.ndarray
-    _factors: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def factors(self, dt: float, diffusivity: float = 1.0) -> _AdiFactors:
-        key = (float(dt), float(diffusivity))
-        got = self._factors.get(key)
-        if got is None:
-            got = _build_factors(self.matrix, key[0], key[1])
-            self._factors[key] = got
-        return got
-
-
-def _build_factors(d_matrix: np.ndarray, dt: float, diffusivity: float) -> _AdiFactors:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    half = (0.5 * dt * diffusivity) * d_matrix
-    eye = np.eye(d_matrix.shape[0])
-    implicit_inv = np.linalg.inv(eye - half)
-    return _AdiFactors(
-        dt=dt,
-        implicit_inv=implicit_inv,
-        implicit_inv_t=np.ascontiguousarray(implicit_inv.T),
-        explicit_left=eye + half,
-    )
+        if bound := _broken_bound(dt):
+            raise ValueError(f"dt must be {bound}, got {dt}")
+        half = (0.5 * dt * diffusivity) * self.matrix
+        eye = np.eye(self.n)
+        implicit_inv = np.linalg.inv(eye - half)
+        return _AdiFactors(
+            dt=dt,
+            implicit_inv=implicit_inv,
+            implicit_inv_t=np.ascontiguousarray(implicit_inv.T),
+            explicit_left=eye + half,
+        )
 
 
 def build_diff_matrix(n: int, half_length: float) -> DiffMatrix:
     """Differentiation matrix for d^2/dx^2 on n periodic nodes in [-L, L)."""
     if n < 4 or n % 2:
         raise ValueError(f"differentiation matrix needs even n >= 4, got {n}")
-    if half_length <= 0:
-        raise ValueError(f"half_length must be positive, got {half_length}")
+    if bound := _broken_bound(half_length):
+        raise ValueError(f"half_length must be {bound}, got {half_length}")
     omega = (np.pi / half_length) * np.concatenate(
         (np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0))
     )
@@ -112,55 +105,12 @@ def adi_step(u: np.ndarray, reaction, factors: _AdiFactors) -> np.ndarray:
     return (factors.explicit_left @ u_half + half_dt * f_mid) @ factors.implicit_inv_t
 
 
-def _adi_problem(model: ModelSpec, grid: GridSpec | None = None) -> str | None:
-    """Why the ADI scheme cannot run ``model`` on ``grid`` (default: the
-    model's registered grid); None when it can."""
-    if grid is None:
-        grid = _default_grid(model)
-    if grid.dims != 2:
-        return "the ADI scheme is two-dimensional only"
-    if grid.n[0] != grid.n[1] or grid.half_length[0] != grid.half_length[1]:
-        return "the ADI scheme needs a square grid"
-    if grid.n[0] < 4:
-        return f"the ADI scheme needs n >= 4, got {grid.n[0]}"
-    if model.species != 1:
-        return f"the ADI scheme handles single-species models, {model.name} has {model.species}"
-    return None
-
-
-def _adi_stepper(spec: ModelSpec, grid: GridSpec, p, dt: float,
-                 diff: DiffMatrix | None = None) -> _Stepper:
-    """adi_step as a stepper of the shared run loop.  It returns no uhat, so
-    a step costs no transform; the seconds spent in the dense half-step
-    algebra, the dominant per-step cost, become the run's dense_time."""
-    problem = _adi_problem(spec, grid)
-    if problem:
-        raise ValueError(problem)
-    d = spec.diffusivities(p)[0]
-    if diff is None:
-        diff = build_diff_matrix(grid.n[0], grid.half_length[0])
-    factors = diff.factors(dt, d)
-
-    reaction = _Counted(lambda field: np.asarray(spec.reaction(field[None], p))[0])
-    dense = _Counted(lambda u, fac: adi_step(u, reaction, fac))
-
-    def advance(y, t, h):
-        u = dense(y[0][0], factors if h == dt else diff.factors(h, d))  # own factors if shortened
-        _check_stage(u, t + h, "adi step")
-        return (u[None], None), h
-    return _Stepper(advance, reaction, dense=dense)
-
-
 def adi_integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
                   dt: float, t_final: float, snap_every: float | None = None,
-                  sink=None, params=None, initial_state: State | None = None,
-                  diff: DiffMatrix | None = None) -> RunSummary:
-    """``integrate(..., scheme="adi")`` on a prebuilt ``diff`` matrix.
-
-    Passing the same DiffMatrix to several runs reuses its memoized step
-    factors.  The summary's ``dense_time`` records the seconds spent
-    inside the dense half-step algebra.
-    """
-    return _drive(model, grid, params, "adi",
-                  lambda spec, grid, p: _adi_stepper(spec, grid, p, dt, diff),
-                  initial_state, t_final, dt, snap_every, sink)
+                  sink=None, params=None,
+                  initial_state: State | None = None) -> steppers.RunSummary:
+    """``integrate(..., scheme="adi")``.  The summary's ``dense_time``
+    records the seconds spent inside the dense half-step algebra."""
+    return steppers.integrate(model, grid, scheme="adi", dt=dt, t_final=t_final,
+                              snap_every=snap_every, sink=sink, params=params,
+                              initial_state=initial_state)

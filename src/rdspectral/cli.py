@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import make_grid, state_from_physical
+from .grid import _broken_bound, make_grid, state_from_physical
 from .harness import convergence_study
 from .models import MODELS, default_timestep, get_model
 from .postprocess import fourier_upsample_1d, fourier_upsample_2d
@@ -123,12 +123,14 @@ def _cmd_compare(args) -> int:
     gold = _given(args, ("gold_scheme", "gold_dt"))
     if not args.dt:
         problems.append("at least one --dt is required")
-    elif any(dt <= 0 for dt in args.dt):
-        problems.append("every --dt must be positive")
-    if args.t_final is None or args.t_final < 0:
+    problems.extend(f"every --dt must be {bound}"
+                    for bound in dict.fromkeys(map(_broken_bound, args.dt or ())) if bound)
+    if args.t_final is None or not args.t_final >= 0:
         problems.append("--t-final is required and must be nonnegative")
-    if args.gold_dt is not None and args.gold_dt <= 0:
-        problems.append(f"--gold-dt must be positive, got {args.gold_dt:g}")
+    elif _broken_bound(args.t_final, nonnegative=True):
+        problems.append(f"--t-final must be finite, got {args.t_final:g}")
+    if args.gold_dt is not None and (bound := _broken_bound(args.gold_dt)):
+        problems.append(f"--gold-dt must be {bound}, got {args.gold_dt:g}")
     # model, scheme, grid, adi and parameter checks are those of a run of each
     # scheme; t_final is checked above, under its flag's name
     shared = _given(args, ("n", "half_length", "dealias"))

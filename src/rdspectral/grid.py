@@ -113,9 +113,18 @@ def _even_positive(n: int) -> int:
     return n
 
 
+def _broken_bound(value: float, nonnegative: bool = False) -> str | None:
+    """The bound a run setting breaks: "positive" (or "nonnegative") when
+    it is not above (at least) zero, NaN included, "finite" when it is
+    infinite; None when it breaks neither."""
+    if not (value >= 0 if nonnegative else value > 0):
+        return "nonnegative" if nonnegative else "positive"
+    return "finite" if value == np.inf else None
+
+
 def _axis_arrays(n: int, half_length: float) -> tuple[np.ndarray, np.ndarray]:
-    if half_length <= 0:
-        raise ValueError(f"half-width must be positive, got {half_length}")
+    if bound := _broken_bound(half_length):
+        raise ValueError(f"half-width must be {bound}, got {half_length}")
     coords = -half_length + (2.0 * half_length / n) * np.arange(n)
     index = np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])
     omega = (np.pi / half_length) * index

@@ -29,10 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, State, make_grid
+from .grid import GridSpec, State, _broken_bound, make_grid
 from .models import MODELS, default_timestep, get_model
-from .adi import _adi_problem
-from .steppers import _ADI_DEALIAS, SCHEMES, RunSummary
+from .steppers import SCHEMES, RunSummary, _scheme_problems
 __all__ = [
     "ConfigError",
     "RunConfig",
@@ -111,33 +110,30 @@ class RunConfig:
         bad_n = self.n is not None and (self.n < 2 or self.n % 2)
         if bad_n:
             problems.append(f"n must be even and >= 2, got {self.n}")
-        bad_l = self.half_length is not None and self.half_length <= 0
+        bad_l = self.half_length is not None and _broken_bound(self.half_length)
         if bad_l:
-            problems.append(f"L must be positive, got {self.half_length}")
-        if self.dt is not None and self.dt <= 0:
-            problems.append(f"dt must be positive, got {self.dt}")
-        if self.rel_tol is not None and self.rel_tol <= 0:
-            problems.append(f"tol must be positive, got {self.rel_tol}")
+            problems.append(f"L must be {bad_l}, got {self.half_length}")
+        for key, value in (("dt", self.dt), ("tol", self.rel_tol)):
+            if value is not None and (bound := _broken_bound(value)):
+                problems.append(f"{key} must be {bound}, got {value}")
+        if self.rel_tol is not None and self.scheme in SCHEMES and self.scheme != "ck45":
+            problems.append(f"tol is read only by scheme ck45, not by {self.scheme}")
         if self.t_final is None:
             problems.append("t_final is required")
-        elif self.t_final < 0:
-            problems.append(f"t_final must be nonnegative, got {self.t_final}")
-        if self.snap_every is not None and self.snap_every <= 0:
+        elif bound := _broken_bound(self.t_final, nonnegative=True):
+            problems.append(f"t_final must be {bound}, got {self.t_final}")
+        if self.snap_every is not None and not self.snap_every > 0:
             problems.append(f"snap_every must be positive, got {self.snap_every}")
         # config.txt cuts comments at '#', splits lines and strips values
         if self.out and ("#" in self.out or self.out.strip().splitlines() != [self.out]):
             problems.append("out cannot hold '#', a line break or leading or "
                             f"trailing whitespace, got {self.out!r}")
-        if self.scheme == "adi" and self.model in MODELS:
-            grid = None if bad_n or bad_l else self.grid()  # None: the model's default
-            problem = _adi_problem(get_model(self.model), grid)
-            if problem:
-                problems.append(f"scheme adi cannot run model {self.model}: {problem}")
-        if self.scheme == "adi" and self.dealias:
-            problems.append(_ADI_DEALIAS)
-        if self.model in MODELS and self.params:
+        spec = get_model(self.model) if self.model in MODELS else None
+        grid = None if spec is None or bad_n or bad_l else self.grid()  # None: the default
+        problems.extend(_scheme_problems(self.scheme, spec, grid, self.dealias))
+        if spec is not None and self.params:
             try:
-                get_model(self.model).params(self.params)
+                spec.params(self.params)
             except ValueError as err:
                 problems.append(str(err))
         return problems

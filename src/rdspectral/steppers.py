@@ -19,7 +19,8 @@ builder of that coefficient data, and one stage loop runs them all:
 * ``etdrk4b``  four-stage ETD scheme with all stages anchored at the
                current time level (better constants on stiff problems).
 
-``integrate`` is the one time loop; it also runs the ADI baseline of adi.py.
+``integrate`` is the one time loop; it also runs the ADI baseline on the
+dense algebra of adi.py.
 
 The phi coefficient functions are evaluated by the direct formulas away
 from the origin and by a contour mean near it, where the formulas lose
@@ -38,8 +39,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import adi
 from . import grid as spectral
-from .grid import GridSpec, State, state_from_physical
+from .grid import GridSpec, State, _broken_bound, state_from_physical
 from .models import ModelSpec, default_grid as _default_grid, get_model, initial_condition
 
 __all__ = [
@@ -303,8 +305,6 @@ _TABLEAUS: dict[str, Callable] = {
 
 def _build_tables(scheme: str, symbol: np.ndarray, dt: float):
     """The tableau of ``scheme`` for one step of dt over the linear symbol."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     return _TABLEAUS[scheme](symbol * dt, dt)
 
 
@@ -351,8 +351,34 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
 # -- the run loop ---------------------------------------------------------------
 
 SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b", "adi")
-_ADI_DEALIAS = ("scheme adi cannot dealias: it steps the reaction in physical "
-                "space, with no spectrum to mask")
+
+
+def _scheme_problems(scheme: str, spec: ModelSpec | None, grid: GridSpec | None,
+                     dealias: bool) -> list[str]:
+    """Why ``scheme`` cannot run ``spec`` on ``grid`` (None: the model's
+    registered grid) with ``dealias``; empty when it can.  Only ADI has
+    limits.  ``spec`` None, an unknown model, skips the model checks."""
+    if scheme != "adi":
+        return []
+    problems = []
+    if spec is not None:
+        grid = grid if grid is not None else _default_grid(spec)
+        if grid.dims != 2:
+            why = "the ADI scheme is two-dimensional only"
+        elif grid.n[0] != grid.n[1] or grid.half_length[0] != grid.half_length[1]:
+            why = "the ADI scheme needs a square grid"
+        elif grid.n[0] < 4:
+            why = f"the ADI scheme needs n >= 4, got {grid.n[0]}"
+        elif spec.species != 1:
+            why = f"the ADI scheme handles single-species models, {spec.name} has {spec.species}"
+        else:
+            why = None
+        if why:
+            problems.append(f"scheme adi cannot run model {spec.name}: {why}")
+    if dealias:
+        problems.append("scheme adi cannot dealias: it steps the reaction in physical "
+                        "space, with no spectrum to mask")
+    return problems
 
 
 @dataclass
@@ -370,18 +396,6 @@ class RunSummary:
     dense_time: float = 0.0
 
 
-@dataclass
-class _Stepper:
-    """A scheme as the run loop sees it.  ``advance(y, t, h)`` steps the
-    (u, uhat) pair y and returns (new y or None on a rejected attempt,
-    step taken); ``reaction`` counts the reaction evaluations."""
-
-    advance: Callable
-    reaction: _Counted
-    control: StepControl | None = None   # set for the adaptive scheme
-    dense: _Counted | None = None        # ADI's dense step; its seconds are dense_time
-
-
 def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
               scheme: str, t_final: float, dt: float | None = None,
               control: StepControl | None = None, snap_every: float | None = None,
@@ -397,65 +411,73 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     initial state, at every crossing of the snapshot cadence, and with the
     final state.  A start that is not finite or exceeds the blow-up limit
     raises BlowUpError.
+
+    ADI steps the physical field and returns no uhat, so a step costs no
+    transform: the loop transforms only to hand out a State, and hands
+    out the final state it has just emitted as a snapshot rather than
+    transforming it again.  The seconds spent in its dense half-step
+    algebra, the dominant per-step cost, become the run's dense_time.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
     if scheme == "ck45":
         if control is None:
             raise ValueError("ck45 needs a StepControl (set rel_tol there)")
-    elif dt is None:
-        raise ValueError(f"scheme {scheme!r} needs a fixed dt")
-    elif dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if scheme == "adi" and dealias:
-        raise ValueError(_ADI_DEALIAS)
-
-    def make_stepper(spec, grid, p):
-        if scheme == "adi":
-            from .adi import _adi_stepper  # adi builds on this module
-            return _adi_stepper(spec, grid, p, dt)
-        N = _spectral_reaction(spec, grid, p, spectral.dealias_mask(grid) if dealias else None)
-        symbol = linear_symbol(grid, spec.diffusivities(p))
-        if scheme == "ck45":
-            return _Stepper(lambda y, t, h: _ck45_attempt(N, grid, symbol, control, y, t)[:2],
-                            N, control)
-        tableaus = {dt: _build_tables(scheme, symbol, dt)}
-
-        def advance(y, t, h):
-            if h not in tableaus:  # the shortened final step
-                tableaus[h] = _build_tables(scheme, symbol, h)
-            return _exp_rk_step(N, grid, *y, t, h, tableaus[h], scheme)[0], h
-        return _Stepper(advance, N)
-    return _drive(model, grid, params, scheme, make_stepper, initial_state, t_final, dt,
-                  snap_every, sink)
-
-
-def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
-           make_stepper: Callable[..., _Stepper], state: State | None, t_final: float,
-           dt: float | None, snap_every: float | None, sink) -> RunSummary:
-    """The one time loop, for every scheme; ``make_stepper(spec, grid, p)``
-    builds the scheme once the arguments are checked.  A stepper working
-    in physical space (ADI) returns uhat as None, so the loop transforms
-    only to hand out a State, and hands out the final state it has just
-    emitted as a snapshot rather than transforming it again."""
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
-    if snap_every is not None and snap_every <= 0:
+        for name in ("dt", "rel_tol", "dt_max"):
+            value = getattr(control, name)
+            if bound := _broken_bound(value):
+                raise ValueError(f"StepControl.{name} must be {bound}, got {value}")
+    else:
+        control = None  # only ck45 reads a StepControl
+        if dt is None:
+            raise ValueError(f"scheme {scheme!r} needs a fixed dt")
+        if bound := _broken_bound(dt):
+            raise ValueError(f"dt must be {bound}, got {dt}")
+    if bound := _broken_bound(t_final, nonnegative=True):
+        raise ValueError(f"t_final must be {bound}, got {t_final}")
+    if snap_every is not None and not snap_every > 0:
         raise ValueError(f"snapshot cadence must be positive, got {snap_every}")
     spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
         grid = _default_grid(spec)
+    problems = _scheme_problems(scheme, spec, grid, dealias)
+    if problems:
+        raise ValueError("; ".join(problems))
     p = spec.params(params)
-    stepper = make_stepper(spec, grid, p)
-    if state is None:
-        state = initial_condition(spec, grid, p)
+
+    dense = None
+    if scheme == "adi":
+        d = spec.diffusivities(p)[0]
+        diff = adi.build_diff_matrix(grid.n[0], grid.half_length[0])
+        reaction = _Counted(lambda field: np.asarray(spec.reaction(field[None], p))[0])
+        dense = _Counted(lambda u, factors: adi.adi_step(u, reaction, factors))
+
+        def build(h):
+            return diff.factors(h, d)
+
+        def step(y, t, h, factors):
+            u = dense(y[0][0], factors)
+            _check_stage(u, t + h, "adi step")
+            return u[None], None
+    else:
+        reaction = _spectral_reaction(
+            spec, grid, p, spectral.dealias_mask(grid) if dealias else None)
+        symbol = linear_symbol(grid, spec.diffusivities(p))
+
+        def build(h):
+            return _build_tables(scheme, symbol, h)
+
+        def step(y, t, h, tableau):
+            return _exp_rk_step(reaction, grid, *y, t, h, tableau, scheme)[0]
+    # the one coefficient cache: per step size, dt and a shortened final step
+    coefficients = {} if control is not None else {dt: build(dt)}
+    state = initial_state if initial_state is not None else initial_condition(spec, grid, p)
 
     def as_state(y, t):
         u, U = y
         return State(t=t, u=u, uhat=U) if U is not None else state_from_physical(grid, u, t)
 
     emit = sink if sink is not None else (lambda s: None)
-    control = stepper.control
     t0 = t = state.t
     eps = 1e-9 * max(1.0, abs(t_final), abs(t0))
     next_snap = None if snap_every is None else t0 + snap_every
@@ -470,21 +492,23 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
         _check_stage(state.u, t0, "initial state")
         while t < t_final - eps:
             remaining = t_final - t
+            steps += 1
             if control is None:
                 h = dt if remaining >= dt - eps else remaining
-            else:
-                proposal = control.dt
-                h = control.dt = min(proposal, remaining)
-            y_new, h_taken = stepper.advance(y, t, h)
-            steps += 1
-            if y_new is None:  # rejected: the controller has shrunk control.dt
-                continue
-            y = y_new
-            accepted += 1
-            if control is None:
+                if h not in coefficients:
+                    coefficients[h] = build(h)
+                y = step(y, t, h, coefficients[h])
+                accepted += 1
                 # pin time arithmetic to multiples of dt to avoid drift
                 t = t0 + accepted * dt if h == dt else t_final
             else:
+                proposal = control.dt
+                h = control.dt = min(proposal, remaining)
+                y_new, h_taken, _ = _ck45_attempt(reaction, grid, symbol, control, y, t)
+                if y_new is None:  # rejected: the controller has shrunk control.dt
+                    continue
+                y = y_new
+                accepted += 1
                 t += h_taken
                 dt_history.append((t, h))
                 # keep the controller's growth proposal, not the endpoint clamp
@@ -510,9 +534,9 @@ def _drive(model: ModelSpec | str, grid: GridSpec | None, params, scheme: str,
         steps=steps,
         accepted=accepted,
         rejected=steps - accepted,
-        reaction_evals=stepper.reaction.calls,
+        reaction_evals=reaction.calls,
         wall_time=wall,
         final_state=emitted,
         dt_history=dt_history,
-        dense_time=stepper.dense.seconds if stepper.dense is not None else 0.0,
+        dense_time=dense.seconds if dense is not None else 0.0,
     )

@@ -86,6 +86,45 @@ def test_run_adi_on_a_too_small_grid_exits_one_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, problem", [
+    (["--t-final", "inf"], "t_final must be finite, got inf"),
+    (["--t-final", "1", "--dt", "inf"], "dt must be finite, got inf"),
+    (["--t-final", "nan"], "t_final must be nonnegative, got nan"),
+    (["--t-final", "1", "--dt", "nan"], "dt must be positive, got nan"),
+    (["--t-final", "1", "--L", "nan"], "L must be positive, got nan"),
+])
+def test_run_rejects_non_finite_inputs_and_writes_nothing(tmp_path, capsys, flags, problem):
+    out = tmp_path / "run"
+    rc = main(["run", "--model", "fisher1d", "--n", "64", "--out", str(out)] + flags)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, problem", [
+    (["--dt", "inf", "--t-final", "1"], "every --dt must be finite"),
+    (["--dt", "nan", "--dt", "0.1", "--t-final", "1"], "every --dt must be positive"),
+    (["--dt", "0.1", "--t-final", "inf"], "--t-final must be finite, got inf"),
+    (["--dt", "0.1", "--t-final", "nan"], "--t-final is required and must be nonnegative"),
+    (["--dt", "0.1", "--t-final", "1", "--gold-dt", "nan"], "--gold-dt must be positive, got nan"),
+])
+def test_compare_rejects_non_finite_inputs(tmp_path, capsys, flags, problem):
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--model", "fisher1d", "--n", "64", "--out", str(out)] + flags)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def test_run_rejects_tol_with_a_fixed_step_scheme(tmp_path, capsys):
+    out = tmp_path / "rk4"
+    rc = main(["run", "--model", "fisher1d", "--scheme", "rk4", "--tol", "0.001",
+               "--t-final", "0.2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: tol is read only by scheme ck45, not by rk4\n"
+    assert not out.exists()
+
+
 def test_run_rejects_an_out_config_txt_cannot_hold(tmp_path, capsys):
     out = tmp_path / "runs#3"
     rc = main(["run", "--model", "fisher1d", "--t-final", "1", "--out", str(out)])
@@ -97,12 +136,12 @@ def test_run_rejects_an_out_config_txt_cannot_hold(tmp_path, capsys):
 def test_every_run_flag_sets_its_config_key(tmp_path):
     # the flags and the config file name the same settings
     out = tmp_path / "all"
-    rc = main(["run", "--model", "fisher1d", "--scheme", "rk4", "--n", "64", "--L", "20",
+    rc = main(["run", "--model", "fisher1d", "--scheme", "ck45", "--n", "64", "--L", "20",
                "--dt", "0.1", "--tol", "0.001", "--t-final", "0.2", "--snap-every", "0.1",
                "--out", str(out), "--dealias", "--param", "delta=2"])
     assert rc == 0
     assert load_config(out / "config.txt") == RunConfig(
-        model="fisher1d", scheme="rk4", n=64, half_length=20.0, dt=0.1, rel_tol=1e-3,
+        model="fisher1d", scheme="ck45", n=64, half_length=20.0, dt=0.1, rel_tol=1e-3,
         t_final=0.2, snap_every=0.1, out=str(out), dealias=True, params={"delta": 2.0})
 
 

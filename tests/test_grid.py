@@ -160,6 +160,16 @@ def test_dealias_mask_removes_aliased_product():
     assert np.allclose(filtered, 0.5, atol=1e-12)  # only the mean survives
 
 
+@pytest.mark.parametrize("half_length, problem", [
+    (float("nan"), "half-width must be positive, got nan"),
+    (float("inf"), "half-width must be finite, got inf"),
+])
+def test_grid_rejects_a_non_finite_half_width(half_length, problem):
+    with pytest.raises(ValueError) as excinfo:
+        make_grid(8, half_length, 1)
+    assert str(excinfo.value) == problem
+
+
 def test_grid_validation():
     with pytest.raises(ValueError, match="even"):
         make_grid(9, 1.0, 1)

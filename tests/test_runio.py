@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdspectral.grid import make_grid
-from rdspectral.models import MODELS
+from rdspectral.models import MODELS, get_model
 from rdspectral.runio import (
     ConfigError,
     RunConfig,
@@ -17,7 +17,7 @@ from rdspectral.runio import (
     read_header,
     read_index,
 )
-from rdspectral.steppers import integrate
+from rdspectral.steppers import SCHEMES, StepControl, integrate
 
 
 # --------------------------------------------------------------- config text
@@ -149,6 +149,33 @@ def test_adi_accepts_exactly_the_2d_single_species_models():
     assert RunConfig(model="gray2d", scheme="adi", t_final=1.0).validate() == [
         "scheme adi cannot run model gray2d: "
         "the ADI scheme handles single-species models, gray2d has 2"]
+
+
+def test_validate_reports_tol_with_a_fixed_step_scheme():
+    for scheme in ("rk4", "etdrk4", "etdrk4b"):
+        assert RunConfig(model="fisher1d", scheme=scheme, rel_tol=1e-3,
+                         t_final=1.0).validate() == [
+            f"tol is read only by scheme ck45, not by {scheme}"]
+    assert RunConfig(model="fisher1d", scheme="ck45", rel_tol=1e-3, t_final=1.0).validate() == []
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("model", MODELS)
+def test_integrate_refuses_exactly_the_runs_validate_reports(model, scheme, dealias):
+    cfg = RunConfig(model=model, scheme=scheme, dealias=dealias, t_final=0.0)
+    problems = cfg.validate()
+    step = {"control": StepControl()} if scheme == "ck45" else {"dt": cfg.resolved_dt()}
+
+    def run():
+        integrate(get_model(model), cfg.grid(), scheme=scheme, t_final=0.0,
+                  dealias=dealias, **step)
+    if not problems:
+        run()
+        return
+    with pytest.raises(ValueError) as excinfo:
+        run()
+    assert all(problem in str(excinfo.value) for problem in problems)
 
 
 def test_validate_checks_model_params():

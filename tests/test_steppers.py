@@ -1,12 +1,15 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from rdspectral import adi
 from rdspectral import grid as spectral
 from rdspectral import steppers
 from rdspectral.grid import State, make_grid, state_from_physical
 from rdspectral.models import ModelSpec, get_model, initial_condition
+from rdspectral.runio import RunWriter
 from rdspectral.steppers import (BLOWUP_LIMIT, ERROR_FLOOR, BlowUpError,
                                  StepControl, StepSizeError, integrate, linear_symbol)
 
@@ -336,6 +339,68 @@ def test_integrate_validation():
         integrate("gray1d", g, scheme="rk4", dt=-0.1, t_final=1.0)
     with pytest.raises(ValueError, match="cadence"):
         integrate("gray1d", g, scheme="rk4", dt=0.1, t_final=1.0, snap_every=0.0)
+
+
+@pytest.mark.parametrize("given, problem", [
+    ({"dt": np.nan}, "dt must be positive, got nan"),
+    ({"dt": np.inf}, "dt must be finite, got inf"),
+    ({"t_final": np.nan}, "t_final must be nonnegative, got nan"),
+    ({"t_final": np.inf}, "t_final must be finite, got inf"),
+    ({"snap_every": np.nan}, "snapshot cadence must be positive, got nan"),
+])
+def test_integrate_rejects_non_finite_inputs(given, problem):
+    kwargs = {"dt": 0.1, "t_final": 1.0, **given}
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", make_grid(16, 5.0, 1), scheme="rk4", **kwargs)
+    assert str(excinfo.value) == problem
+
+
+@pytest.mark.parametrize("given, problem", [
+    ({"dt": np.nan}, "StepControl.dt must be positive, got nan"),
+    ({"rel_tol": -1e-4}, "StepControl.rel_tol must be positive, got -0.0001"),
+    ({"rel_tol": np.inf}, "StepControl.rel_tol must be finite, got inf"),
+    ({"dt_max": np.nan}, "StepControl.dt_max must be positive, got nan"),
+])
+def test_ck45_rejects_a_step_control_out_of_bounds(given, problem):
+    # a NaN step is rejected without ever reaching dt_min, so the run would
+    # never end; a negative tolerance makes the error scale negative
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", make_grid(16, 5.0, 1), scheme="ck45", t_final=1.0,
+                  control=StepControl(**given))
+    assert str(excinfo.value) == problem
+
+
+def test_tracer_patch_points_see_every_call(monkeypatch, tmp_path):
+    # bench/tracing.py times each layer by rebinding these attributes, so the
+    # package must call each one through them, or its traced metric reads 0
+    calls = Counter()
+    for owner, name in ((spectral, "forward"), (spectral, "inverse_real"),
+                        (steppers, "linear_symbol"), (steppers, "_build_tables"),
+                        (adi, "build_diff_matrix"), (adi.DiffMatrix, "factors"),
+                        (adi, "adi_step"), (RunWriter, "__call__"), (RunWriter, "finish")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    grid = make_grid(32, 25.0, 2)
+    for run in (lambda: adi.adi_integrate("fisher2d", grid, dt=0.1, t_final=1.05),
+                lambda: integrate("fisher2d", grid, scheme="adi", dt=0.1, t_final=1.05)):
+        calls.clear()
+        run()
+        # forward: the initial and the final state
+        assert calls == {"build_diff_matrix": 1, "factors": 2, "adi_step": 11, "forward": 2}
+
+    calls.clear()
+    grid = make_grid(64, 50.0, 1)
+    writer = RunWriter(tmp_path, grid, "gray1d", 2)
+    summary = integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=1.05,
+                        snap_every=0.5, sink=writer)
+    writer.finish(summary)
+    # four reaction transforms and four inverse transforms a step, one more
+    # forward transform for the initial state; snapshots at 0, 0.5, 1 and 1.05
+    assert calls == {"_build_tables": 2, "linear_symbol": 1, "forward": 45,
+                     "inverse_real": 44, "__call__": 4, "finish": 1}
 
 
 def test_dealias_masks_reaction_contributions():
