@@ -10,7 +10,14 @@ A run directory is a self-describing bundle:
 * ``snapshots.csv``  index, time, file name, CRC-32 of the payload
 * ``summary.txt``    step counts, costs, and exit status
 * ``spacetime_<s>.csv``  for 1D runs, one row per snapshot: t then the
-                     profile of species s, 17 significant digits
+                     profile of species s, each value as ``"%.17g"``
+                     writes it
+
+``RunWriter`` writes ``header.txt``, ``config.txt`` and the header line of
+``snapshots.csv`` when it is made, then each payload and, after it, its
+index row as the snapshot arrives, so a run killed after k snapshots
+reads back k.  ``spacetime_<s>.csv`` and ``summary.txt`` are written by
+``finish``.
 
 Config values are plain text: ``key = value`` lines, ``#`` comments,
 ``param.<name>`` lines for model parameter overrides.  ``_SETTINGS`` is
@@ -23,6 +30,7 @@ at once, never just the first.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -204,6 +212,173 @@ def config_to_text(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ------------------------------------------------------------ %.17g as arrays
+#
+# _format_rows writes the bytes "%.17g" writes, whole arrays at a time.
+# A value with 1e-283 <= |x| <= 1e290 is y * 10**(e - 16), with
+# e = floor(log10 |x|) and y = |x| * 10**(16 - e) in [1e16, 1e17); its 17
+# digits are d = round(y).  10**(16 - e) is a double-double (hi + lo to
+# about 2**-106) and |x| * hi an exact Dekker two-product, so y = y_hi +
+# y_lo with an error near 1e-14, and y_hi >= 2**53 is an integer.  d =
+# 1e17 is a carry: d = 1e16 with e + 1.  A value whose y is within 2**-30
+# of a rounding tie, or whose d = 1e16 comes from a y not 2**-30 above
+# 1e16 (below it the digits belong to e - 1), or whose d is outside
+# [1e16, 1e17] (log10 missed by more than a carry), and every zero, inf,
+# nan or value outside the window, is formatted by "%.17g" itself (Gay's
+# correctly rounded dtoa).  The window keeps 10**(16 - e) <= 1e300, so
+# its split cannot overflow.  Dekker, Numer. Math. 18 (1971) 224-242.
+#
+# Each value is assembled in a 48-byte row that holds every character a
+# "%.17g" text can use, in text order:
+#
+#   0 "-"   1-5 "0.000"   6, 8, .., 38 digits d0..d16   7, 9, .., 39 "."
+#   40-44 "e", exponent sign, three exponent digits   45 separator
+#
+# and the keep mask of its layout (sign, form, digits left once trailing
+# zeros are stripped) picks the bytes of its text.  Form 0-20 is fixed
+# notation with e = form - 4; 21 and 22 are scientific notation (e < -4
+# or e >= 17) with a two- and a three-digit exponent.
+
+_E_MIN, _E_MAX = -284, 291      # exponents of the window, 291 after a carry
+_TIE = 2.0 ** -30
+_BLOCK_VALUES = 1 << 16         # values per block in finish: bounds its temporaries
+
+
+def _pow10(k: int) -> tuple[float, float]:
+    """(hi, lo): hi is 10**k rounded, and lo is 10**k - hi rounded."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den              # int / int is correctly rounded
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _words(texts) -> np.ndarray:
+    """Each 8-byte text as one uint64 word."""
+    return np.frombuffer(b"".join(texts), dtype=np.uint8).view(np.uint64)
+
+
+def _group_words() -> np.ndarray:
+    """For g in 0..9999, its four digits, each followed by ".", as one word."""
+    g = np.arange(10000, dtype=np.uint16)
+    text = np.full((10000, 8), ord("."), dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        text[:, 2 * j] = g // place % 10 + ord("0")
+    return text.view(np.uint64).ravel()
+
+
+def _keep_mask(negative: bool, form: int, m: int) -> np.ndarray:
+    """The bytes of the 48-byte row that make one layout's text."""
+    def digit(i):
+        return 6 + 2 * i
+    keep = [0] if negative else []
+    if form >= 21:                                     # d.ddde-XX
+        keep += [digit(0)] + ([digit(0) + 1] if m > 1 else [])
+        keep += [digit(i) for i in range(1, m)]
+        keep += [40, 41] + ([42] if form == 22 else []) + [43, 44]
+    elif form < 4:                                     # 0.000ddd
+        keep += [1, 2] + [3, 4, 5][:3 - form] + [digit(i) for i in range(m)]
+    else:                                              # ddd.ddd, ddd000
+        whole = form - 3
+        keep += [digit(i) for i in range(whole)]
+        if m > whole:
+            keep += [digit(whole - 1) + 1] + [digit(i) for i in range(whole, m)]
+    mask = np.zeros(48, dtype=bool)
+    mask[keep + [45]] = True
+    return mask
+
+
+# layouts: code = (negative * 23 + form) * 17 + m - 1; then a fallback text
+# of length L keeps its first L bytes, code _FALLBACK + L
+_FALLBACK = 2 * 23 * 17
+
+
+class _Tables:
+    """The lookup tables of _format_rows.  Built on its first call, so a
+    run that writes no space-time CSV never builds them."""
+
+    def __init__(self):
+        exponents = range(_E_MIN, _E_MAX + 1)
+        self.p10_hi, self.p10_lo = np.array([_pow10(16 - e) for e in exponents]).T.copy()
+        self.lead = _words(b"-0.000%d." % i for i in range(10))
+        self.tail = _words(b"e%+04d,  " % e for e in exponents)
+        self.digits = _group_words()
+        self.trailing_zeros = sum(np.arange(10000) % 10 ** j == 0 for j in range(1, 5))
+        self.keep = np.array(
+            [_keep_mask(neg, form, m)
+             for neg in (False, True) for form in range(23) for m in range(1, 18)]
+            + [np.isin(np.arange(48), list(range(n)) + [45]) for n in range(25)])
+
+
+_tables = functools.cache(_Tables)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == a, each with at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * a                                # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _digits17(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, d, e): where ``ok``, "%.17g" writes |x| with the digits of d,
+    10**16 <= d < 10**17, and the decimal exponent e; elsewhere d = 10**16
+    and e = 0, and the value is left to "%.17g" itself."""
+    a = np.abs(x)
+    ok = (a >= 1e-283) & (a <= 1e290)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p_hi = t.p10_hi.take(e - _E_MIN)
+    y_hi = a * p_hi
+    a1, a2 = _split(a)
+    p1, p2 = _split(p_hi)
+    y_lo = ((a1 * p1 - y_hi) + a1 * p2 + a2 * p1) + a2 * p2 + a * t.p10_lo.take(e - _E_MIN)
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    d = y_hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    ok &= (np.abs(frac - 0.5) > _TIE) & ((d != 10**16) | ((y_hi - 1e16) + y_lo > _TIE))
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    ok &= (d >= 10**16) & (d < 10**17)
+    d[~ok] = 10**16
+    e[~ok] = 0
+    return ok, d, e
+
+
+def _format_rows(block: np.ndarray) -> np.ndarray:
+    """The text of a 2D float64 block, as uint8: each value as "%.17g"
+    writes it, values joined by "," and every row ended by a newline."""
+    rows, cols = block.shape
+    x = block.ravel()
+    t = _tables()
+    ok, d, e = _digits17(x, t)
+    lead, rest = np.divmod(d, 10**16)
+    high, low = (v.astype(np.int32) for v in np.divmod(rest, 10**8))
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
+    text = np.empty((x.size, 6), dtype=np.uint64)
+    text[:, 0] = t.lead.take(lead)
+    for j, g in enumerate(groups, start=1):
+        text[:, j] = t.digits.take(g)
+    text[:, 5] = t.tail.take(e - _E_MIN)
+    text = text.view(np.uint8).reshape(rows, cols, 48)
+    text[:, -1, 45] = ord("\n")
+    text = text.reshape(x.size, 48)
+
+    zeros = np.zeros(x.size, dtype=np.intp)          # trailing zeros of d
+    trailing = np.ones(x.size, dtype=bool)
+    for g in reversed(groups):
+        zeros += trailing * t.trailing_zeros.take(g)
+        trailing &= g == 0
+    form = np.where((e < -4) | (e >= 17), 21 + (np.abs(e) >= 100), e + 4)
+    code = ((x < 0) * 23 + form) * 17 + 16 - zeros
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        texts = [b"%.17g" % v for v in x[slow].tolist()]
+        text[slow, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+        code[slow] = _FALLBACK + np.array([len(s) for s in texts])
+    return text.ravel().compress(t.keep.take(code, axis=0).ravel())
+
+
 def _header_text(grid: GridSpec, model: str, species: int,
                  snap_every: float | None) -> str:
     lines = [
@@ -219,8 +394,11 @@ def _header_text(grid: GridSpec, model: str, species: int,
 
 
 class RunWriter:
-    """Snapshot sink for integrate()/adi_integrate(): writes the run
-    directory incrementally, then ``finish`` seals index and summary."""
+    """Snapshot sink for integrate()/adi_integrate().  Making it writes
+    ``header.txt``, ``config.txt`` and the header line of ``snapshots.csv``
+    (dropping any older index there); each call writes the payload and
+    then appends its index row; ``finish`` writes ``spacetime_<s>.csv``
+    (1D runs) and ``summary.txt``."""
 
     def __init__(self, out_dir, grid: GridSpec, model: str, species: int,
                  config: RunConfig | None = None, snap_every: float | None = None):
@@ -232,27 +410,32 @@ class RunWriter:
         (self.dir / "header.txt").write_text(_header_text(grid, model, species, snap_every))
         if config is not None:
             (self.dir / "config.txt").write_text(config_to_text(config))
+        (self.dir / "snapshots.csv").write_text("index,time,file,crc32\n")
 
     def __call__(self, state: State) -> None:
         k = len(self.rows)
         name = f"snap_{k:05d}.bin"
         payload = np.ascontiguousarray(state.u, dtype="<f8").tobytes()
         (self.dir / name).write_bytes(payload)
-        self.rows.append((k, state.t, name, zlib.crc32(payload)))
+        crc = zlib.crc32(payload)
+        with open(self.dir / "snapshots.csv", "a") as index:
+            index.write(f"{k},{state.t:.17g},{name},{crc}\n")
+        self.rows.append((k, state.t, name, crc))
         if self.grid.dims == 1:
             self._profiles.append((state.t, np.array(state.u)))
 
     def finish(self, summary: RunSummary | None = None,
                status: str = "ok", detail: str = "") -> None:
-        index = ["index,time,file,crc32"]
-        index += [f"{k},{t:.17g},{name},{crc}" for k, t, name, crc in self.rows]
-        (self.dir / "snapshots.csv").write_text("\n".join(index) + "\n")
+        width = 1 + self.grid.n[0]
+        step = max(1, _BLOCK_VALUES // width)
         for s in range(self._species_count()):
-            # one %-format per row; its %.17g writes what f"{v:.17g}" writes
-            row = ",".join(["%.17g"] * (1 + self.grid.n[0]))
-            lines = [row % ((t,) + tuple(u[s].tolist())) for t, u in self._profiles]
-            if lines:
-                (self.dir / f"spacetime_{s}.csv").write_text("\n".join(lines) + "\n")
+            with open(self.dir / f"spacetime_{s}.csv", "wb") as out:
+                for start in range(0, len(self._profiles), step):
+                    chunk = self._profiles[start:start + step]
+                    block = np.empty((len(chunk), width))
+                    block[:, 0] = [t for t, _ in chunk]
+                    block[:, 1:] = [u[s] for _, u in chunk]
+                    out.write(_format_rows(block))
         lines = [f"status = {status}"]
         if detail:
             lines.append(f"detail = {detail}")

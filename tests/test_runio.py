@@ -9,6 +9,7 @@ from rdspectral.runio import (
     ConfigError,
     RunConfig,
     RunWriter,
+    _format_rows,
     config_to_text,
     iter_snapshots,
     load_config,
@@ -269,9 +270,11 @@ def test_no_spacetime_file_for_2d_runs(tmp_path):
 
 
 def test_runs_are_bitwise_deterministic(tmp_path):
-    _small_run(tmp_path / "a")
-    _small_run(tmp_path / "b")
-    for name in ["snapshots.csv"] + [f"snap_{k:05d}.bin" for k in range(6)]:
+    cfg = RunConfig(model="fisher1d", dt=0.05, t_final=0.5, snap_every=0.1)
+    _small_run(tmp_path / "a", config=cfg)
+    _small_run(tmp_path / "b", config=cfg)
+    for name in (["snapshots.csv", "spacetime_0.csv", "header.txt", "config.txt"]
+                 + [f"snap_{k:05d}.bin" for k in range(6)]):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes(), name
 
@@ -323,6 +326,97 @@ def test_spacetime_csv_bytes_match_per_value_formatting(tmp_path):
         want = "".join(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in u[s]]) + "\n"
                        for t, u in profiles)
         assert (tmp_path / f"spacetime_{s}.csv").read_bytes() == want.encode()
+
+
+def test_index_reads_back_every_snapshot_of_an_unfinished_run(tmp_path):
+    # a run killed before finish: its index already lists what it wrote,
+    # and a new writer drops the index an earlier run left in the directory
+    _small_run(tmp_path)
+    grid = make_grid(64, 20.0, 1)
+    writer = RunWriter(tmp_path, grid, "fisher1d", 1)
+    handed = []
+
+    def sink(state):
+        handed.append((state.t, np.array(state.u)))
+        writer(state)
+    integrate("fisher1d", grid, scheme="rk4", dt=0.05, t_final=0.2,
+              snap_every=0.1, sink=sink)
+    assert len(handed) == 3
+    rows = read_index(tmp_path)
+    assert [(k, t, name) for k, t, name, _ in rows] == [
+        (k, t, f"snap_{k:05d}.bin") for k, (t, _) in enumerate(handed)]
+    loaded = list(iter_snapshots(tmp_path))
+    assert len(loaded) == 3
+    for (t, fields), (t_handed, u) in zip(loaded, handed):
+        assert t == t_handed and np.array_equal(fields, u)
+    assert (tmp_path / "snapshots.csv").read_text() == "index,time,file,crc32\n" + "".join(
+        f"{k},{t:.17g},{name},{crc}\n" for k, t, name, crc in rows)
+
+
+# ------------------------------------------------------- %.17g as arrays
+
+def _per_value_text(block):
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in block.tolist()).encode()
+
+
+def _assert_formats_like_per_value(values, cols):
+    values = np.asarray(values, dtype=float).ravel()
+    block = np.concatenate([values, np.ones(-values.size % cols)]).reshape(-1, cols)
+    assert _format_rows(block).tobytes() == _per_value_text(block)
+
+
+def test_format_rows_matches_per_value_on_random_bit_patterns():
+    # every exponent, both signs, and NaNs with the sign bit set ("nan")
+    bits = np.random.default_rng(11).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert np.isnan(values[np.signbit(values)]).any()
+    _assert_formats_like_per_value(values, 1000)
+
+
+def test_format_rows_matches_per_value_next_to_powers_of_ten():
+    # the notation switches at 1e-5/1e-4 and 1e16/1e17, and carries such as
+    # 9.99999999999999999e-5 -> 0.0001
+    tens = np.array([float(f"1e{j}") for j in range(-300, 301)])
+    near = [tens]
+    below, above = tens, tens
+    for _ in range(4):
+        below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+        near += [below, above]
+    near = np.concatenate(near)
+    _assert_formats_like_per_value(np.concatenate([near, -near]), 601)
+
+
+def test_format_rows_matches_per_value_on_exact_ties():
+    # 18 significant digits ending in 5 round half to even at 17
+    rng = np.random.default_rng(12)
+    ties = [1234567890123456.75, 1234567890123456.25]
+    for digits in (2, 3, 4):   # n + odd / 2**digits, n with 18 - digits digits
+        n = rng.integers(10 ** (17 - digits), 10 ** (18 - digits), 2000)
+        n = n[n < 2 ** (53 - digits)]
+        odd = 2 * rng.integers(0, 2 ** (digits - 1), n.size) + 1
+        ties += (n + odd / 2 ** digits).tolist()
+    ties = np.array(ties)
+    assert _per_value_text(ties[None, :2]) == b"1234567890123456.8,1234567890123456.2\n"
+    _assert_formats_like_per_value(np.concatenate([ties, -ties]), 97)
+
+
+def test_format_rows_matches_per_value_on_a_front_run():
+    grid = make_grid(2048, 150.0, 1)
+    rows = []
+    integrate("fisher1d", grid, scheme="rk4", dt=0.1, t_final=25.0, snap_every=0.1,
+              sink=lambda s: rows.append(np.concatenate([[s.t], s.u[0]])))
+    block = np.array(rows)
+    assert block.shape == (251, 2049)
+    assert _format_rows(block).tobytes() == _per_value_text(block)
+
+
+def test_format_rows_special_values():
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+               1e-283, 1e290, 1.7976931348623157e308, 1e-5, 1e-4, 1e16, 1e17, 1.0, -1.0, 0.1]
+    assert _format_rows(np.array([special])).tobytes() == _per_value_text(np.array([special]))
+    assert _format_rows(np.array([[1e16, -1e17], [0.0001, -0.30000000000000004]])).tobytes() \
+        == b"10000000000000000,-1e+17\n0.0001,-0.30000000000000004\n"
 
 
 def test_summary_contents(tmp_path):
