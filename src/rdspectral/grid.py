@@ -188,7 +188,9 @@ def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean 2/3-rule mask on the half spectrum (True = keep)."""
+    """Boolean 2/3-rule mask on the half spectrum (True = keep |k| <= n//3).
+    It removes all aliasing only from quadratic products: a cubic one
+    needs the cut below n/4, and a non-polynomial rate has no such cut."""
     masks = []
     for n in grid.n:
         index = np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])

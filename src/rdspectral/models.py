@@ -1,9 +1,10 @@
 """Benchmark reaction-diffusion systems.
 
 Every model solves u_t = grad^2 u + f(u, v), v_t = eps grad^2 v + g(u, v)
-on a periodic box; the first species always has unit diffusivity.
-Reactions are pure pointwise functions so they vectorize over any field
-shape and can be checked against scalar loops bit for bit.
+on a periodic box; the first species always has unit diffusivity.  Only
+the reaction is stepped explicitly, so a model is its kinetics: one
+pointwise ``rates(u, p)`` per system (see ModelSpec), which broadcasts over
+trailing axes, an ensemble's member axis among them.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ __all__ = [
     "ModelSpec",
     "MODELS",
     "get_model",
-    "reaction_fisher",
-    "reaction_epidemic",
-    "reaction_gray",
-    "reaction_auto",
-    "reaction_labyrinthine",
     "cubic_root_u_minus",
     "initial_condition",
     "default_grid",
@@ -33,35 +29,41 @@ __all__ = [
 _DEFAULT_DT = 0.1  # default_timestep of a model that sets no timestep_of
 
 
-# -- pointwise reaction rates ------------------------------------------------
-# Association order is fixed (e.g. u * (v * v)) so that vectorized and
-# scalar evaluations agree exactly in floating point.
+# -- kinetics: one rates(u, p) per system ----------------------------------
+# Run once per stage: species are indexed (unpacking iterates the array, at
+# three times the cost) and stacked in one np.array([...]); the association
+# order (e.g. u * (v * v)) is fixed so vector and scalar evaluations agree.
 
-def reaction_fisher(u):
+def _fisher(u, p):
     """Logistic growth u(1 - u)."""
-    return u * (1.0 - u)
+    return np.array([u[0] * (1.0 - u[0])])
 
 
-def reaction_epidemic(u, v, lam):
+def _epidemic(uv, p):
     """Infectives u, susceptibles v: rate_u = u(v - lam), rate_v = -uv."""
-    return u * (v - lam), -(u * v)
+    u, v = uv[0], uv[1]
+    return np.array([u * (v - p["lam"]), -(u * v)])
 
 
-def reaction_gray(u, v, A, B):
-    """Cubic autocatalysis with feed A and decay B."""
+def _gray(uv, p):
+    """Cubic autocatalysis with feed A = eps*a and decay B = eps^(1/3)*b."""
+    u, v = uv[0], uv[1]
+    A, B = p["eps"] * p["a"], p["eps"] ** (1.0 / 3.0) * p["b"]
     uvv = u * (v * v)
-    return -uvv + A * (1.0 - u), uvv - B * v
+    return np.array([-uvv + A * (1.0 - u), uvv - B * v])
 
 
-def reaction_auto(u, v, m):
+def _auto(uv, p):
     """Order-m autocatalysis, rate v*max(u,0)^m; u clamped branch-free."""
-    rate = v * np.maximum(u, 0.0) ** m
-    return rate, -rate
+    u, v = uv[0], uv[1]
+    rate = v * np.maximum(u, 0.0) ** p["m"]
+    return np.array([rate, -rate])
 
 
-def reaction_labyrinthine(u, v, a0, a1, delta):
+def _labyrinthine(uv, p):
     """FitzHugh-Nagumo type kinetics: u - u^3 - v and delta(u - a1 v - a0)."""
-    return u - u * (u * u) - v, delta * (u - a1 * v - a0)
+    u, v = uv[0], uv[1]
+    return np.array([u - u * (u * u) - v, p["delta"] * (u - p["a1"] * v - p["a0"])])
 
 
 def cubic_root_u_minus(a0: float, a1: float) -> float:
@@ -96,12 +98,13 @@ def cubic_root_u_minus(a0: float, a1: float) -> float:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A registered reaction-diffusion system.
+    """A reaction-diffusion system as data.
 
-    ``default_grid_args`` is (n, half_length, dims).  The callables take
-    the fully merged parameter dict; ``rates`` maps a stacked field array
-    (species, ...) to stacked reaction rates of the same shape, and
-    ``timestep_of``, when set, gives the default step in place of 0.1.
+    ``default_grid_args`` is (n, half_length, dims).  The required callables
+    take the merged parameter dict p: ``rates(u, p)`` maps a stacked field
+    (species, ...) to stacked rates of its shape, ``diffusivities_of(p)``
+    gives one diffusivity >= 0 per species and ``ic(grid, p)`` the stacked
+    initial field.  ``timestep_of(p)``, if set, replaces the default step 0.1.
     """
 
     name: str
@@ -109,10 +112,10 @@ class ModelSpec:
     default_params: Mapping[str, float]
     default_grid_args: tuple
     equations: str
+    rates: Callable
+    diffusivities_of: Callable
+    ic: Callable
     param_doc: Mapping[str, str] = field(default_factory=dict)
-    rates: Callable = None
-    diffusivities_of: Callable = None
-    ic: Callable = None
     timestep_of: Callable = None
 
     def params(self, overrides: Mapping[str, float] | None = None) -> dict:
@@ -126,60 +129,15 @@ class ModelSpec:
             merged.update({k: float(v) for k, v in overrides.items()})
         return merged
 
-    def reaction(self, u: np.ndarray, params: Mapping[str, float]) -> np.ndarray:
-        return self.rates(u, params)
-
-    def diffusivities(self, params: Mapping[str, float]) -> tuple[float, ...]:
-        return self.diffusivities_of(params)
-
-    def initial_condition(self, grid: GridSpec, params: Mapping[str, float]) -> np.ndarray:
-        return self.ic(grid, params)
-
-
-# np.array([...]) stacks like np.stack, in one allocation, at a fraction
-# of its per-call cost: these run once per stage
-
-def _stack1(a):
-    return np.array([a])
-
-
-def _rates_fisher(u, p):
-    return _stack1(reaction_fisher(u[0]))
-
-
-def _rates_epidemic(u, p):
-    ru, rv = reaction_epidemic(u[0], u[1], p["lam"])
-    return np.array([ru, rv])
-
-
-def _gray_AB(p):
-    return p["eps"] * p["a"], p["eps"] ** (1.0 / 3.0) * p["b"]
-
-
-def _rates_gray(u, p):
-    A, B = _gray_AB(p)
-    ru, rv = reaction_gray(u[0], u[1], A, B)
-    return np.array([ru, rv])
-
-
-def _rates_auto(u, p):
-    ru, rv = reaction_auto(u[0], u[1], p["m"])
-    return np.array([ru, rv])
-
-
-def _rates_labyrinthine(u, p):
-    ru, rv = reaction_labyrinthine(u[0], u[1], p["a0"], p["a1"], p["delta"])
-    return np.array([ru, rv])
-
 
 def _ic_fisher1d(grid, p):
     (x,) = grid.mesh()
-    return _stack1(1.0 / (2.0 * np.cosh(p["delta"] * x)))
+    return np.array([1.0 / (2.0 * np.cosh(p["delta"] * x))])
 
 
 def _ic_fisher2d(grid, p):
     x, y = grid.mesh()
-    return _stack1(0.2 * np.exp(-0.25 * (x * x + y * y)))
+    return np.array([0.2 * np.exp(-0.25 * (x * x + y * y))])
 
 
 def _ic_epidemic(grid, p):
@@ -247,7 +205,7 @@ FISHER1D = _register(ModelSpec(
     default_grid_args=(1024, 150.0, 1),
     equations="u_t = u_xx + u(1 - u)",
     param_doc={"delta": "decay rate of the initial profile 1/(2 cosh(delta x))"},
-    rates=_rates_fisher,
+    rates=_fisher,
     diffusivities_of=_d_single,
     ic=_ic_fisher1d,
 ))
@@ -259,7 +217,7 @@ FISHER2D = _register(ModelSpec(
     default_grid_args=(256, 25.0, 2),
     equations="u_t = lap(u) + u(1 - u)",
     param_doc={},
-    rates=_rates_fisher,
+    rates=_fisher,
     diffusivities_of=_d_single,
     ic=_ic_fisher2d,
 ))
@@ -274,7 +232,7 @@ EPIDEMIC = _register(ModelSpec(
         "lam": "infection threshold (demonstration default, not calibrated)",
         "eps": "susceptible diffusivity (demonstration default, not calibrated)",
     },
-    rates=_rates_epidemic,
+    rates=_epidemic,
     diffusivities_of=_d_pair,
     ic=_ic_epidemic,
 ))
@@ -291,7 +249,7 @@ GRAY1D = _register(ModelSpec(
         "b": "decay-rate group, enters through B = eps^(1/3)*b",
         "eps": "ratio of diffusivities",
     },
-    rates=_rates_gray,
+    rates=_gray,
     diffusivities_of=_d_pair,
     ic=_ic_gray1d,
 ))
@@ -309,7 +267,7 @@ GRAY2D = _register(ModelSpec(
         "eps": "ratio of diffusivities",
         "asym": "nonzero stretches the seed (r^2 = x^2/2 + y^2 instead of x^2 + y^2)",
     },
-    rates=_rates_gray,
+    rates=_gray,
     diffusivities_of=_d_pair,
     ic=_ic_gray2d,
 ))
@@ -324,7 +282,7 @@ AUTO = _register(ModelSpec(
         "eps": "inverse Lewis number (heat vs mass diffusion)",
         "m": "reaction order; integer >= 1, steep fronts for m >= 10",
     },
-    rates=_rates_auto,
+    rates=_auto,
     diffusivities_of=_d_pair,
     ic=_ic_auto,
     timestep_of=lambda p: 0.02 if p["m"] >= 10.0 else _DEFAULT_DT,
@@ -342,7 +300,7 @@ LABYRINTHE2D = _register(ModelSpec(
         "eps": "v diffusivity",
         "delta": "kinetics rate ratio",
     },
-    rates=_rates_labyrinthine,
+    rates=_labyrinthine,
     diffusivities_of=_d_pair,
     ic=_ic_labyrinthine,
 ))
@@ -372,6 +330,4 @@ def initial_condition(model: ModelSpec | str, grid: GridSpec | None = None,
     spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
         grid = default_grid(spec)
-    merged = spec.params(params)
-    fields = spec.initial_condition(grid, merged)
-    return state_from_physical(grid, list(fields), t=0.0)
+    return state_from_physical(grid, list(spec.ic(grid, spec.params(params))), t=0.0)

@@ -394,16 +394,20 @@ def _header_text(grid: GridSpec, model: str, species: int,
 
 
 class RunWriter:
-    """Snapshot sink for integrate()/adi_integrate().  Making it writes
-    ``header.txt``, ``config.txt`` and the header line of ``snapshots.csv``
-    (dropping any older index there); each call writes the payload and
-    then appends its index row; ``finish`` writes ``spacetime_<s>.csv``
-    (1D runs) and ``summary.txt``."""
+    """Snapshot sink for integrate()/adi_integrate().  Making it deletes
+    an older run's ``snap_*.bin``, ``spacetime_*.csv`` and ``summary.txt``
+    in ``out_dir`` (nothing else there), then writes ``header.txt``,
+    ``config.txt`` and the header line of ``snapshots.csv``; each call
+    writes the payload and then appends its index row; ``finish`` writes
+    ``spacetime_<s>.csv`` (1D runs) and ``summary.txt``."""
 
     def __init__(self, out_dir, grid: GridSpec, model: str, species: int,
                  config: RunConfig | None = None, snap_every: float | None = None):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
+        for pattern in ("snap_*.bin", "spacetime_*.csv", "summary.txt"):
+            for stale in self.dir.glob(pattern):
+                stale.unlink()
         self.grid = grid
         self.rows: list[tuple[int, float, str, int]] = []
         self._profiles: list[tuple[float, np.ndarray]] = []  # 1D space-time matrix

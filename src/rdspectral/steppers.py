@@ -174,7 +174,7 @@ def _spectral_reaction(model: ModelSpec, grid: GridSpec, p: Mapping[str, float],
                        mask: np.ndarray | None) -> _Counted:
     """N(u) = mask * FFT(F(u)), counted."""
     def N(u):
-        Nu = spectral.forward(grid, model.reaction(u, p))
+        Nu = spectral.forward(grid, model.rates(u, p))
         return Nu if mask is None else mask * Nu
     return _Counted(N)
 
@@ -407,7 +407,8 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     Fixed-step schemes, ``adi`` among them, take ``dt`` (final partial
     step shortened to land exactly on t_final); ``ck45`` takes a
     StepControl.  ``dealias`` masks the spectral schemes' reaction term
-    by the 2/3 rule; ``adi`` rejects it.  ``sink`` is called with the
+    by the 2/3 rule, which removes all aliasing only from a quadratic
+    reaction; ``adi`` rejects it.  ``sink`` is called with the
     initial state, at every crossing of the snapshot cadence, and with the
     final state.  A start that is not finite or exceeds the blow-up limit
     raises BlowUpError.
@@ -447,9 +448,9 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
 
     dense = None
     if scheme == "adi":
-        d = spec.diffusivities(p)[0]
+        d = spec.diffusivities_of(p)[0]
         diff = adi.build_diff_matrix(grid.n[0], grid.half_length[0])
-        reaction = _Counted(lambda field: np.asarray(spec.reaction(field[None], p))[0])
+        reaction = _Counted(lambda field: spec.rates(field[None], p)[0])
         dense = _Counted(lambda u, factors: adi.adi_step(u, reaction, factors))
 
         def build(h):
@@ -462,7 +463,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     else:
         reaction = _spectral_reaction(
             spec, grid, p, spectral.dealias_mask(grid) if dealias else None)
-        symbol = linear_symbol(grid, spec.diffusivities(p))
+        symbol = linear_symbol(grid, spec.diffusivities_of(p))
 
         def build(h):
             return _build_tables(scheme, symbol, h)

@@ -225,7 +225,7 @@ def test_criterion_4_pure_diffusion_exactness(criterion):
         grid = make_grid(128 if dims == 1 else 32, L, dims)
         silent = replace(spec, rates=lambda u, p: np.zeros_like(u))
         start = initial_condition(silent, grid)
-        diffs = spec.diffusivities(spec.params())
+        diffs = spec.diffusivities_of(spec.params())
         for dt in (0.1, 1.0, 10.0):
             t_final = 100.0 * dt
             decays = []
@@ -292,7 +292,7 @@ def test_criterion_5_phi_oracles_and_recurrence(criterion):
 
     worst_rec = 0.0
     spec = get_model("gray1d")
-    symbol = linear_symbol(default_grid(spec), spec.diffusivities(spec.params()))
+    symbol = linear_symbol(default_grid(spec), spec.diffusivities_of(spec.params()))
     for dt in (0.1, 0.01):
         # the arguments the ETD tableau builders pass to phi
         z_full = symbol * dt

@@ -141,7 +141,7 @@ def test_fisher_bounds_preserved():
 def test_t_final_zero_is_identity():
     grid = make_grid(32, 25.0, 2)
     summary = adi_integrate("fisher2d", grid, dt=0.1, t_final=0.0)
-    start = get_model("fisher2d").initial_condition(grid, {})
+    start = get_model("fisher2d").ic(grid, {})
     assert summary.steps == 0
     assert np.array_equal(summary.final_state.u, np.stack(start))
 

@@ -62,6 +62,28 @@ def test_run_writes_artifacts_and_reports(tmp_path, capsys):
     assert fields.shape == (1, 64)
 
 
+def test_reused_run_directory_holds_only_the_new_run(tmp_path, capsys):
+    # an older gray1d run with 11 snapshots, then a fisher1d run with 3 in
+    # the same directory: no older snapshot or space-time file survives,
+    # and a file the runs did not write is left alone
+    out = tmp_path / "reused"
+    assert main(["run", "--model", "gray1d", "--n", "64", "--dt", "0.1",
+                 "--t-final", "1", "--snap-every", "0.1", "--out", str(out)]) == 0
+    assert len(list(out.glob("snap_*.bin"))) == 11
+    assert (out / "spacetime_1.csv").exists()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["run", "--model", "fisher1d", "--n", "64", "--dt", "0.1",
+                 "--t-final", "0.2", "--snap-every", "0.1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.txt", "header.txt", "notes.txt",
+        "snap_00000.bin", "snap_00001.bin", "snap_00002.bin",
+        "snapshots.csv", "spacetime_0.csv", "summary.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert read_header(out)["model"] == "fisher1d"
+    assert "model = fisher1d" in (out / "summary.txt").read_text()
+
+
 def test_run_requires_a_model(capsys):
     assert main(["run", "--t-final", "1"]) == 1
     assert "model is required" in capsys.readouterr().err

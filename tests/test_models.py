@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from rdspectral.grid import make_grid
 from rdspectral.postprocess import front_speed, trace_front
 from rdspectral.steppers import integrate
-from rdspectral.models import (MODELS, cubic_root_u_minus, default_grid,
-                               default_timestep, get_model, initial_condition,
-                               reaction_auto, reaction_fisher, reaction_gray,
-                               reaction_labyrinthine)
+from rdspectral.models import (MODELS, ModelSpec, cubic_root_u_minus, default_grid,
+                               default_timestep, get_model, initial_condition)
 
 ALL_NAMES = ("fisher1d", "fisher2d", "epidemic", "gray1d", "gray2d",
              "auto", "labyrinthe2d")
@@ -58,24 +56,30 @@ def test_vectorized_reactions_match_scalar_loops_exactly():
     u = rng.uniform(0.0, 1.2, 64)
     v = rng.uniform(0.0, 0.5, 64)
 
-    ru, rv = reaction_gray(u, v, A=0.09, B=0.0861774)
+    spec = get_model("gray1d")
+    p = spec.params()
+    A, B = p["eps"] * p["a"], p["eps"] ** (1.0 / 3.0) * p["b"]
+    ru, rv = spec.rates(np.array([u, v]), p)
     for i in range(64):
         uvv = u[i] * (v[i] * v[i])
-        assert ru[i] == -uvv + 0.09 * (1.0 - u[i])
-        assert rv[i] == uvv - 0.0861774 * v[i]
+        assert ru[i] == -uvv + A * (1.0 - u[i])
+        assert rv[i] == uvv - B * v[i]
 
-    rf = reaction_fisher(u)
+    (rf,) = get_model("fisher1d").rates(u[None], get_model("fisher1d").params())
     for i in range(64):
         assert rf[i] == u[i] * (1.0 - u[i])
 
-    ru, rv = reaction_labyrinthine(u, v, a0=-0.1, a1=2.0, delta=4.0)
+    spec = get_model("labyrinthe2d")
+    p = spec.params()
+    ru, rv = spec.rates(np.array([u, v]), p)
     for i in range(64):
         assert ru[i] == u[i] - u[i] * (u[i] * u[i]) - v[i]
-        assert rv[i] == 4.0 * (u[i] - 2.0 * v[i] - (-0.1))
+        assert rv[i] == p["delta"] * (u[i] - p["a1"] * v[i] - p["a0"])
 
 
 def test_auto_reaction_clamps_negative_u():
-    ru, rv = reaction_auto(np.array([-0.3, 0.0, 0.5]), np.array([1.0, 1.0, 1.0]), 2.0)
+    spec = get_model("auto")
+    ru, rv = spec.rates(np.array([[-0.3, 0.0, 0.5], [1.0, 1.0, 1.0]]), spec.params({"m": 2.0}))
     assert np.array_equal(ru, [0.0, 0.0, 0.25])
     assert np.array_equal(rv, -ru)
 
@@ -95,7 +99,7 @@ def test_gray_parameter_groups():
     spec = get_model("gray1d")
     p = spec.params()
     u = np.array([[0.9, 0.4], [0.1, 0.3]])
-    rates = spec.reaction(u, p)
+    rates = spec.rates(u, p)
     A = 0.01 * 9.0
     B = 0.01 ** (1.0 / 3.0) * 0.4
     expect_u = -(u[0] * (u[1] * u[1])) + A * (1.0 - u[0])
@@ -105,10 +109,11 @@ def test_gray_parameter_groups():
 
 
 def test_reaction_fixed_points():
-    assert reaction_fisher(np.float64(0.0)) == 0.0
-    assert reaction_fisher(np.float64(1.0)) == 0.0
+    fisher = get_model("fisher1d")
+    assert np.array_equal(fisher.rates(np.array([[0.0, 1.0]]), fisher.params()), [[0.0, 0.0]])
     # gray rest state (u, v) = (1, 0)
-    ru, rv = reaction_gray(np.float64(1.0), np.float64(0.0), 0.09, 0.086)
+    gray = get_model("gray1d")
+    ru, rv = gray.rates(np.array([1.0, 0.0]), gray.params())
     assert ru == 0.0 and rv == 0.0
 
 
@@ -129,7 +134,7 @@ def test_labyrinthine_rest_state_is_stationary():
     p = spec.params()
     u_minus = cubic_root_u_minus(p["a0"], p["a1"])
     v_minus = (u_minus - p["a0"]) / p["a1"]
-    rates = spec.reaction(np.array([[[u_minus]], [[v_minus]]]), p)
+    rates = spec.rates(np.array([[[u_minus]], [[v_minus]]]), p)
     assert np.all(np.abs(rates) < 1e-12)
 
 
@@ -189,13 +194,52 @@ def test_reactions_vectorize_and_stay_finite(name, lo, hi):
     spec = get_model(name)
     rng = np.random.default_rng(0)
     u = rng.uniform(min(lo, hi), max(lo, hi), (spec.species, 3, 5))
-    rates = spec.reaction(u, spec.params())
+    rates = spec.rates(u, spec.params())
     assert rates.shape == u.shape
     assert np.all(np.isfinite(rates))
 
 
 def test_diffusivities():
-    assert get_model("fisher1d").diffusivities({"delta": 1.0}) == (1.0,)
-    assert get_model("gray1d").diffusivities(get_model("gray1d").params()) == (1.0, 0.01)
+    assert get_model("fisher1d").diffusivities_of({"delta": 1.0}) == (1.0,)
+    assert get_model("gray1d").diffusivities_of(get_model("gray1d").params()) == (1.0, 0.01)
     p = get_model("labyrinthe2d").params()
-    assert get_model("labyrinthe2d").diffusivities(p) == (1.0, p["eps"])
+    assert get_model("labyrinthe2d").diffusivities_of(p) == (1.0, p["eps"])
+
+
+@pytest.mark.parametrize("spec", MODELS.values(), ids=MODELS)
+def test_every_model_has_one_nonnegative_diffusivity_per_species(spec):
+    d = spec.diffusivities_of(spec.params())
+    assert len(d) == spec.species
+    assert all(value >= 0.0 for value in d)
+
+
+def test_model_spec_without_its_callables_fails_when_built():
+    parts = dict(name="bare", species=1, default_params={},
+                 default_grid_args=(16, 1.0, 1), equations="u_t = u_xx")
+    with pytest.raises(TypeError, match="rates"):
+        ModelSpec(**parts)
+    callables = dict(rates=lambda u, p: 0.0 * u, diffusivities_of=lambda p: (1.0,),
+                     ic=lambda g, p: np.zeros((1,) + g.shape))
+    for missing in callables:
+        with pytest.raises(TypeError, match=missing):
+            ModelSpec(**parts, **{k: f for k, f in callables.items() if k != missing})
+
+
+@pytest.mark.parametrize("spec", MODELS.values(), ids=MODELS)
+def test_rates_broadcast_over_a_member_axis(spec):
+    # an ensemble stacks members on an axis after species, with each
+    # parameter a (members, 1) column; every member's rates are then the
+    # bits it gets alone
+    members, n = 4, 9
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-0.5, 1.5, (spec.species, members, n))
+    base = spec.params()
+    columns = {k: np.array([[v * (1.0 + 0.1 * b)] for b in range(members)])
+               for k, v in base.items()}
+    if "m" in base:  # the reaction order stays an integer
+        columns["m"] = np.array([[base["m"] + b] for b in range(members)])
+    together = spec.rates(u, columns)
+    assert together.shape == u.shape
+    for b in range(members):
+        alone = spec.rates(u[:, b], {k: float(c[b, 0]) for k, c in columns.items()})
+        assert np.array_equal(together[:, b], alone)

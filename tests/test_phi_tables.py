@@ -107,7 +107,7 @@ def test_shared_exponentials_give_the_same_bits():
     # the orders at one argument share exp(z) and the contour's exp, and
     # still equal one-order-at-a-time evaluation bit for bit
     spec = get_model("gray2d")
-    symbol = linear_symbol(make_grid(32, 25.0, 2), spec.diffusivities(spec.params()))
+    symbol = linear_symbol(make_grid(32, 25.0, 2), spec.diffusivities_of(spec.params()))
     for z in (symbol * 0.1, 0.05 * symbol, np.linspace(-3.0, 0.0, 61)):
         values = steppers._phis(z, (0, 1, 2))
         for k, got in enumerate(values):
@@ -144,7 +144,7 @@ def test_recurrence_on_built_tables():
     # on the arguments the ETD builders use: z = L dt and z / 2
     spec = get_model("gray1d")
     grid = make_grid(512, 50.0, 1)
-    symbol = linear_symbol(grid, spec.diffusivities(spec.params()))
+    symbol = linear_symbol(grid, spec.diffusivities_of(spec.params()))
     for dt in (0.1, 0.01):
         z = symbol * dt
         p0, p1, p2 = phi(0, z), phi(1, z), phi(2, z)
@@ -170,7 +170,7 @@ def test_stage_weight_combinations():
     # the ETD output row's weights are fixed combinations of the phi values
     spec = get_model("gray1d")
     grid = make_grid(64, 50.0, 1)
-    symbol = linear_symbol(grid, spec.diffusivities(spec.params()))
+    symbol = linear_symbol(grid, spec.diffusivities_of(spec.params()))
     dt = 0.05
     z = symbol * dt
     p0, p1, p2 = phi(0, z), phi(1, z), phi(2, z)

@@ -1,5 +1,5 @@
-"""The README's Python quick start and CLI lines run as written, and it
-names every public name."""
+"""The README's Python quick start, its custom-model example and its CLI
+lines run as written, and it names every public name."""
 
 import re
 import shlex
@@ -17,6 +17,15 @@ def test_readme_quick_start_runs(capsys):
     steps, shape = capsys.readouterr().out.split(" ", 1)
     assert int(steps) == 1000
     assert shape.strip() == "(2, 512)"
+
+
+def test_readme_custom_model_runs(capsys):
+    block = re.search(r"### Writing a model\n.*?```python\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    steps, shape = capsys.readouterr().out.split(" ", 1)
+    assert int(steps) == 200
+    assert shape.strip() == "(2, 256)"
 
 
 def test_readme_cli_lines_run(tmp_path, monkeypatch):
