@@ -7,12 +7,13 @@ axis, so x is the halved axis: a field of shape (ny, nx) has a spectrum of
 shape (ny, nx//2 + 1), and a 1D field of length n one of length n//2 + 1.
 
 The forward transform is unnormalized: ``rfft`` over x, which keeps the
-nonnegative x wavenumbers 0..nx/2, then, in 2D, ``fft`` over y.  The
-inverse runs ``ifft`` over y (in 2D), then ``irfft(n=nx)`` over x, each
-carrying its 1/n factor, and returns a real field.  These are the
-one-axis calls ``rfftn``/``irfftn`` make, in the same order, so results
-are bit for bit theirs, without their per-call argument handling: a 1D
-transform is a single call.
+nonnegative x wavenumbers 0..nx/2, then, in 2D, ``fft`` over y, run in
+place on the ``rfft`` result so a 2D transform allocates one spectrum,
+not two.  The inverse runs ``ifft`` over y (in 2D), then ``irfft(n=nx)``
+over x, each carrying its 1/n factor, and returns a real field.  These
+are the one-axis calls ``rfftn``/``irfftn`` make, in the same order, so
+results are bit for bit theirs (the in-place ``fft`` included), without
+their per-call argument handling: a 1D transform is a single call.
 """
 
 from __future__ import annotations
@@ -166,13 +167,14 @@ def forward(grid: GridSpec, field: np.ndarray) -> np.ndarray:
     """Unnormalized real-to-complex FFT over the grid axes: the half
     spectrum, shaped (..., *grid.spectral_shape).
 
-    Leading axes (species stacking) pass through untouched.
+    Leading axes (species stacking) pass through untouched.  The result
+    is a fresh array, and ``field`` is left as it was.
     """
     field = np.asarray(field)
     _check_field(grid, field)
     spectral = np.fft.rfft(field)
     if grid.dims == 2:
-        spectral = np.fft.fft(spectral, axis=-2)
+        np.fft.fft(spectral, axis=-2, out=spectral)
     return spectral
 
 

@@ -397,7 +397,8 @@ class RunWriter:
     """Snapshot sink for integrate()/adi_integrate().  Making it deletes
     an older run's ``snap_*.bin``, ``spacetime_*.csv`` and ``summary.txt``
     in ``out_dir`` (nothing else there), then writes ``header.txt``,
-    ``config.txt`` and the header line of ``snapshots.csv``; each call
+    ``config.txt`` (deleting an older one when given no config) and the
+    header line of ``snapshots.csv``; each call
     writes the payload and then appends its index row; ``finish`` writes
     ``spacetime_<s>.csv`` (1D runs) and ``summary.txt``."""
 
@@ -414,6 +415,8 @@ class RunWriter:
         (self.dir / "header.txt").write_text(_header_text(grid, model, species, snap_every))
         if config is not None:
             (self.dir / "config.txt").write_text(config_to_text(config))
+        else:  # an older run's config would describe another run
+            (self.dir / "config.txt").unlink(missing_ok=True)
         (self.dir / "snapshots.csv").write_text("index,time,file,crc32\n")
 
     def __call__(self, state: State) -> None:

@@ -84,7 +84,7 @@ def _check_stage(u: np.ndarray, t: float, *where) -> None:
     """Raise BlowUpError if u holds a non-finite value or one beyond
     BLOWUP_LIMIT.  ``where`` names the stage; it is joined into the
     detail text only on failure, as this runs at every stage."""
-    m = np.abs(u).max()
+    m = max(u.max(), -u.min())  # max |u| without a |u| temporary; nan if u holds one
     if not m <= BLOWUP_LIMIT:  # also true for nan
         raise BlowUpError(t, float(m), " ".join(str(w) for w in where))
 
@@ -172,10 +172,12 @@ class _Counted:
 
 def _spectral_reaction(model: ModelSpec, grid: GridSpec, p: Mapping[str, float],
                        mask: np.ndarray | None) -> _Counted:
-    """N(u) = mask * FFT(F(u)), counted."""
+    """N(u) = mask * FFT(F(u)), counted; each call returns a fresh array."""
     def N(u):
         Nu = spectral.forward(grid, model.rates(u, p))
-        return Nu if mask is None else mask * Nu
+        if mask is not None:
+            Nu *= mask
+        return Nu
     return _Counted(N)
 
 
@@ -187,12 +189,18 @@ def _exp_rk_step(N, grid: GridSpec, u: np.ndarray, U: np.ndarray, t: float, dt: 
     E U + sum_j A_j N(stage j), stage 0 being u, and a term (j, f1, f2, ...)
     evaluates A_j N_j as f2 * (f1 * N_j).  Every stage and output passes
     the blow-up check.  Returns the (u, U) pair of each output row.
+
+    One term array and one stage accumulator serve every row of the step:
+    a stage row's sum is spent once its inverse transform is taken.  Each
+    output row sums into a fresh array, as its pair becomes the new state,
+    which a sink may keep.  Neither u nor U is written.
     """
     stages, outputs = tableau
     Ns, out = [N(u)], []
+    # fresh spectrum-sized temporaries per row cost more than the arithmetic
+    term, work = np.empty_like(U, dtype=complex), np.empty_like(U, dtype=complex)
     for i, (E, terms) in enumerate(stages + outputs):
-        acc = E * U
-        term = np.empty_like(acc)  # one work array: fresh temporaries per term cost more
+        acc = np.multiply(E, U, out=work) if i < len(stages) else E * U
         for j, f, *more in terms:
             np.multiply(f, Ns[j], out=term)
             for g in more:
@@ -325,11 +333,23 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
     its bounds.  Returns (new y, or None on rejection; the dt tried; the
     scaled error) and leaves the next proposal in control.dt."""
     dt = min(max(control.dt, _DT_MIN), control.dt_max)
+
+    def k(v):  # the rate dt N(v), scaled on N's fresh array
+        Nv = N(v)
+        Nv *= dt
+        return Nv
+
     try:
-        (u5, U5), (u4, _) = _exp_rk_step(lambda v: dt * N(v), grid, *y, t, dt,
+        (u5, U5), (u4, _) = _exp_rk_step(k, grid, *y, t, dt,
                                          _build_tables("ck45", symbol, dt), "ck45")
-        scale = control.rel_tol * (np.abs(y[0]) + ERROR_FLOOR)
-        err = float(np.max(np.abs(u5 - u4) / scale))
+        # |u5 - u4| / (rel_tol (|u| + floor)) in u4, which nothing else keeps
+        scale = np.abs(y[0])
+        scale += ERROR_FLOOR
+        scale *= control.rel_tol
+        np.subtract(u5, u4, out=u4)
+        np.abs(u4, out=u4)
+        u4 /= scale
+        err = float(u4.max())
     except BlowUpError:  # a runaway stage rejects the attempt
         err = np.inf
 

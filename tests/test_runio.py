@@ -353,6 +353,21 @@ def test_index_reads_back_every_snapshot_of_an_unfinished_run(tmp_path):
         f"{k},{t:.17g},{name},{crc}\n" for k, t, name, crc in rows)
 
 
+def test_writer_without_a_config_drops_an_older_runs_config(tmp_path):
+    # a gray1d run written with its config, then a fisher1d run in the same
+    # directory by a caller that passes none: no config.txt is left to
+    # describe the gray1d run
+    grid = make_grid(64, 50.0, 1)
+    config = RunConfig(model="gray1d", n=64, half_length=50.0, dt=0.1, t_final=0.2)
+    writer = RunWriter(tmp_path, grid, "gray1d", 2, config=config)
+    writer.finish(integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=0.2, sink=writer))
+    assert load_config(tmp_path / "config.txt") == config
+    writer = RunWriter(tmp_path, grid, "fisher1d", 1)
+    writer.finish(integrate("fisher1d", grid, scheme="rk4", dt=0.1, t_final=0.2, sink=writer))
+    assert not (tmp_path / "config.txt").exists()
+    assert read_header(tmp_path)["model"] == "fisher1d"
+
+
 # ------------------------------------------------------- %.17g as arrays
 
 def _per_value_text(block):

@@ -85,11 +85,13 @@ def ck45_scalar(u, dt, f):
 
 # -- per-step cost contracts ---------------------------------------------------
 
-@pytest.mark.parametrize("scheme", ["rk4", "etdrk4", "etdrk4b"],
-                         ids=["if_rk4_step", "etdrk4_step", "etdrk4b_step"])
-def test_fixed_step_costs(scheme, monkeypatch):
-    spec = get_model("gray1d")
-    grid = make_grid(64, 50.0, 1)
+@pytest.mark.parametrize("scheme, dims", [
+    ("rk4", 1), ("etdrk4", 1), ("etdrk4b", 1), ("rk4", 2), ("etdrk4", 2), ("etdrk4b", 2)],
+    ids=["if_rk4_step", "etdrk4_step", "etdrk4b_step",
+         "if_rk4_step_2d", "etdrk4_step_2d", "etdrk4b_step_2d"])
+def test_fixed_step_costs(scheme, dims, monkeypatch):
+    spec = get_model("gray1d" if dims == 1 else "gray2d")
+    grid = make_grid(64 if dims == 1 else 16, 50.0, dims)
     state = constant_state(grid, 0.3)
     state = state_from_physical(grid, [state.u[0], np.full(grid.shape, 0.1)])
     counting, nfev = counting_model(spec)
@@ -106,24 +108,23 @@ def test_fixed_step_costs(scheme, monkeypatch):
 
 
 def test_ck45_attempt_costs(monkeypatch):
-    spec = get_model("fisher1d")
-    grid = make_grid(32, 1.0, 1)
-    state = constant_state(grid, 0.2)
-    control = StepControl(dt=0.05, rel_tol=1e-4)
-    counting, nfev = counting_model(spec)
-
     calls = {"fwd": 0, "inv": 0}
     real_fwd, real_inv = spectral.forward, spectral.inverse_real
     monkeypatch.setattr(spectral, "forward",
                         lambda g, f: calls.__setitem__("fwd", calls["fwd"] + 1) or real_fwd(g, f))
     monkeypatch.setattr(spectral, "inverse_real",
                         lambda g, f: calls.__setitem__("inv", calls["inv"] + 1) or real_inv(g, f))
-    summary = integrate(counting, grid, scheme="ck45", control=control,
-                        initial_state=state, t_final=state.t + 0.05)
-    assert summary.steps == summary.accepted == 1
-    assert nfev["rates"] == 6          # six tableau stages
-    assert calls["fwd"] == 6           # one transform per stage rate
-    assert calls["inv"] == 5 + 2       # five stage states plus both solutions
+    for model, grid in (("fisher1d", make_grid(32, 1.0, 1)), ("fisher2d", make_grid(16, 1.0, 2))):
+        state = constant_state(grid, 0.2)
+        control = StepControl(dt=0.05, rel_tol=1e-4)
+        counting, nfev = counting_model(get_model(model))
+        calls.update(fwd=0, inv=0)
+        summary = integrate(counting, grid, scheme="ck45", control=control,
+                            initial_state=state, t_final=state.t + 0.05)
+        assert summary.steps == summary.accepted == 1
+        assert nfev["rates"] == 6          # six tableau stages
+        assert calls["fwd"] == 6           # one transform per stage rate
+        assert calls["inv"] == 5 + 2       # five stage states plus both solutions
 
 
 # -- scalar oracles on constant fields ------------------------------------------
@@ -296,6 +297,8 @@ def test_check_stage_rejects_non_finite_and_over_limit(bad):
     with pytest.raises(BlowUpError) as excinfo:
         steppers._check_stage(u, 1.5, "rk4", "stage", 3)
     assert excinfo.value.t == 1.5 and excinfo.value.detail == "rk4 stage 3"
+    # the reported size is max |u|, nan when u holds one
+    np.testing.assert_equal(excinfo.value.max_abs, np.abs(u).max())
     assert "rk4 stage 3" in str(excinfo.value)
 
 
@@ -395,6 +398,49 @@ def test_tracer_patch_points_see_every_call(monkeypatch, tmp_path):
     # forward transform for the initial state; snapshots at 0, 0.5, 1 and 1.05
     assert calls == {"_build_tables": 2, "linear_symbol": 1, "forward": 45,
                      "inverse_real": 44, "__call__": 4, "finish": 1}
+
+
+# -- arrays the run hands out, and the arrays it is given ---------------------------
+
+@pytest.mark.parametrize("model, grid, scheme, dealias", [
+    ("gray1d", make_grid(64, 50.0, 1), "rk4", False),
+    ("gray1d", make_grid(64, 50.0, 1), "etdrk4b", False),
+    ("gray2d", make_grid(16, 25.0, 2), "rk4", False),
+    ("gray2d", make_grid(16, 25.0, 2), "etdrk4b", False),
+    ("fisher1d", make_grid(64, 20.0, 1), "ck45", False),
+    ("labyrinthe2d", make_grid(16, 100.0, 2), "ck45", False),
+    ("gray2d", make_grid(16, 25.0, 2), "etdrk4", True),
+    ("fisher1d", make_grid(64, 20.0, 1), "ck45", True),
+], ids=lambda v: str(v) if not isinstance(v, spectral.GridSpec) else f"{v.dims}d")
+def test_emitted_states_keep_their_values(model, grid, scheme, dealias):
+    # the step reuses its stage buffers: a State handed to the sink must
+    # hold arrays that no later step writes
+    kwargs = {"control": StepControl(dt=1.0, rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.5}
+    handed = []
+    summary = integrate(model, grid, scheme=scheme, t_final=5.0, snap_every=0.01,
+                        dealias=dealias, sink=lambda s: handed.append(
+                            (s, s.u.copy(), s.uhat.copy())), **kwargs)
+    if scheme == "ck45":
+        assert summary.rejected > 0
+    assert len(handed) == summary.accepted + 1  # the start, then every step
+    assert summary.final_state is handed[-1][0]
+    for state, u, uhat in handed:
+        assert np.array_equal(state.u, u) and np.array_equal(state.uhat, uhat)
+        # and the pair is one field: ck45's uhat is the fifth-order spectrum
+        assert np.max(np.abs(spectral.inverse_real(grid, uhat) - u)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme, dealias", [
+    (scheme, dealias) for scheme in ("rk4", "ck45", "etdrk4", "etdrk4b")
+    for dealias in (False, True)] + [("adi", False)])
+def test_integrate_leaves_the_initial_state_untouched(scheme, dealias):
+    grid = make_grid(16, 25.0, 2)
+    start = initial_condition(get_model("fisher2d"), grid)
+    u, uhat = start.u.copy(), start.uhat.copy()
+    kwargs = {"control": StepControl(dt=1.0, rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.5}
+    integrate("fisher2d", grid, scheme=scheme, t_final=2.0, dealias=dealias,
+              initial_state=start, **kwargs)
+    assert np.array_equal(start.u, u) and np.array_equal(start.uhat, uhat)
 
 
 def test_dealias_masks_reaction_contributions():
