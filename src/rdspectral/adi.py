@@ -24,7 +24,7 @@ import numpy as np
 # steppers imports this module for the algebra; adi_integrate looks up
 # steppers.integrate only when called, so the two modules import cleanly
 from . import steppers
-from .grid import GridSpec, State, _broken_bound
+from .grid import GridSpec, State, _broken_bound, _modes
 from .models import ModelSpec
 
 __all__ = ["DiffMatrix", "build_diff_matrix", "adi_step", "adi_integrate"]
@@ -74,9 +74,7 @@ def build_diff_matrix(n: int, half_length: float) -> DiffMatrix:
         raise ValueError(f"differentiation matrix needs even n >= 4, got {n}")
     if bound := _broken_bound(half_length):
         raise ValueError(f"half_length must be {bound}, got {half_length}")
-    omega = (np.pi / half_length) * np.concatenate(
-        (np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0))
-    )
+    omega = (np.pi / half_length) * _modes(n)
     columns = np.fft.ifft(
         -omega[:, None] ** 2 * np.fft.fft(np.eye(n), axis=0), axis=0
     ).real

@@ -180,7 +180,7 @@ def _cmd_upsample(args) -> int:
     try:
         header = read_header(run_dir)
         rows = read_index(run_dir)
-    except OSError as err:
+    except (OSError, ValueError) as err:
         return _fail([f"not a run directory: {err}"])
     if not rows:
         return _fail(["run directory has no snapshots"])
@@ -192,7 +192,7 @@ def _cmd_upsample(args) -> int:
         return _fail(problems)
     try:
         t, fields = load_snapshot(run_dir, index)
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # a missing or damaged payload
         return _fail([str(err)])
 
     if header["dims"] == 1:

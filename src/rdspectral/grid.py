@@ -65,8 +65,8 @@ class GridSpec:
     omega: tuple[np.ndarray, ...]
     omega_sq: np.ndarray
 
-    # shape, spectral_shape and axes are built once per grid, as every
-    # transform reads them
+    # shape and spectral_shape are built once per grid, as every transform
+    # checks its input against one of them
     @cached_property
     def shape(self) -> tuple[int, ...]:
         # field storage shape: x fastest, so the axis order is reversed
@@ -76,10 +76,6 @@ class GridSpec:
     def spectral_shape(self) -> tuple[int, ...]:
         # half spectrum of a real field: x, stored last, keeps modes 0..nx/2
         return self.shape[:-1] + (self.n[0] // 2 + 1,)
-
-    @cached_property
-    def axes(self) -> tuple[int, ...]:
-        return tuple(range(-self.dims, 0))
 
     def mesh(self) -> tuple[np.ndarray, ...]:
         """Per-axis coordinate arrays broadcastable to a field."""
@@ -123,13 +119,16 @@ def _broken_bound(value: float, nonnegative: bool = False) -> str | None:
     return "finite" if value == np.inf else None
 
 
+def _modes(n: int) -> np.ndarray:
+    """Integer mode numbers in FFT storage order: 0, 1, ..., n/2, -n/2 + 1, ..., -1."""
+    return np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])
+
+
 def _axis_arrays(n: int, half_length: float) -> tuple[np.ndarray, np.ndarray]:
     if bound := _broken_bound(half_length):
         raise ValueError(f"half-width must be {bound}, got {half_length}")
     coords = -half_length + (2.0 * half_length / n) * np.arange(n)
-    index = np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])
-    omega = (np.pi / half_length) * index
-    return coords, omega
+    return coords, (np.pi / half_length) * _modes(n)
 
 
 def make_grid(n, half_length, dims: int = 1) -> GridSpec:
@@ -193,10 +192,7 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Boolean 2/3-rule mask on the half spectrum (True = keep |k| <= n//3).
     It removes all aliasing only from quadratic products: a cubic one
     needs the cut below n/4, and a non-polynomial rate has no such cut."""
-    masks = []
-    for n in grid.n:
-        index = np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])
-        masks.append(np.abs(index) <= n // 3)
+    masks = [np.abs(_modes(n)) <= n // 3 for n in grid.n]
     masks[0] = masks[0][: grid.n[0] // 2 + 1]
     if grid.dims == 1:
         return masks[0]

@@ -476,17 +476,22 @@ def _parse_kv(text: str) -> dict:
 
 
 def read_header(run_dir) -> dict:
-    """Parsed header.txt: model, species, dims, n tuple, L tuple, cadence."""
-    raw = _parse_kv((Path(run_dir) / "header.txt").read_text())
-    return {
-        "model": raw["model"],
-        "species": int(raw["species"]),
-        "dims": int(raw["dims"]),
-        "n": tuple(int(v) for v in raw["n"].split(",")),
-        "L": tuple(float(v) for v in raw["L"].split(",")),
-        "snap_every": None if raw.get("snap_every", "none") == "none"
-                      else float(raw["snap_every"]),
-    }
+    """Parsed header.txt: model, species, dims, n tuple, L tuple, cadence;
+    a missing key raises ValueError naming the file and the key."""
+    path = Path(run_dir) / "header.txt"
+    raw = _parse_kv(path.read_text())
+    try:
+        return {
+            "model": raw["model"],
+            "species": int(raw["species"]),
+            "dims": int(raw["dims"]),
+            "n": tuple(int(v) for v in raw["n"].split(",")),
+            "L": tuple(float(v) for v in raw["L"].split(",")),
+            "snap_every": None if raw.get("snap_every", "none") == "none"
+                          else float(raw["snap_every"]),
+        }
+    except KeyError as err:
+        raise ValueError(f"{path} has no {err.args[0]!r} key") from None
 
 
 def read_index(run_dir) -> list[tuple[int, float, str, int]]:

@@ -91,10 +91,8 @@ def _check_stage(u: np.ndarray, t: float, *where) -> None:
 
 # -- phi coefficient functions -------------------------------------------------
 
-def _phi_direct(k: int, z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # e = exp(z), when the caller already has it
-    if e is None:
-        e = np.exp(z)
+def _phi_direct(k: int, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # the direct formula for phi_k, given e = exp(z)
     if k == 0:
         return (e - 1.0) / z
     if k == 1:
@@ -316,23 +314,30 @@ def _build_tables(scheme: str, symbol: np.ndarray, dt: float):
     return _TABLEAUS[scheme](symbol * dt, dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControl:
-    """Adaptive step controller state for ck45."""
+    """ck45's settings: the first step tried, the relative tolerance of
+    the error estimate and the largest step.  Each must be positive and
+    finite, which is checked when it is made; a run reads it and writes
+    nothing back, so one StepControl gives the same run every time."""
 
     dt: float = 0.1
     rel_tol: float = 1e-4
     dt_max: float = 5.0
-    accepted: int = 0
-    rejected: int = 0
+
+    def __post_init__(self):
+        for name in ("dt", "rel_tol", "dt_max"):
+            value = getattr(self, name)
+            if bound := _broken_bound(value):
+                raise ValueError(f"StepControl.{name} must be {bound}, got {value}")
 
 
 def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
-                  y: tuple[np.ndarray, np.ndarray], t: float):
-    """One Cash-Karp attempt from y = (u, uhat) at control.dt, clamped to
-    its bounds.  Returns (new y, or None on rejection; the dt tried; the
-    scaled error) and leaves the next proposal in control.dt."""
-    dt = min(max(control.dt, _DT_MIN), control.dt_max)
+                  y: tuple[np.ndarray, np.ndarray], t: float, dt: float):
+    """One Cash-Karp attempt of step dt from y = (u, uhat) at time t.
+    Returns (new y, or None on rejection; the scaled error; the next step
+    to try, in [_DT_MIN, control.dt_max]).  A rejection at _DT_MIN that
+    would shrink the step further raises StepSizeError."""
 
     def k(v):  # the rate dt N(v), scaled on N's fresh array
         Nv = N(v)
@@ -354,18 +359,13 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
         err = np.inf
 
     if err <= 1.0:
-        factor = 5.0 if err == 0.0 else min(5.0, _SAFETY * err ** -0.2)
-        control.dt = min(max(dt * factor, _DT_MIN), control.dt_max)
-        control.accepted += 1
-        return (u5, U5), dt, err
-    shrink = 0.1 if not np.isfinite(err) else max(0.1, _SAFETY * err ** -0.25)
-    proposal = dt * shrink
-    if proposal < _DT_MIN and dt <= _DT_MIN:
-        raise StepSizeError(
-            f"step rejected at dt_min={_DT_MIN:g} (t={t:.6g}, scaled error {err:.3g})")
-    control.dt = min(max(proposal, _DT_MIN), control.dt_max)
-    control.rejected += 1
-    return None, dt, err
+        y_new, factor = (u5, U5), 5.0 if err == 0.0 else min(5.0, _SAFETY * err ** -0.2)
+    else:
+        y_new, factor = None, 0.1 if not np.isfinite(err) else max(0.1, _SAFETY * err ** -0.25)
+        if dt * factor < _DT_MIN and dt <= _DT_MIN:
+            raise StepSizeError(
+                f"step rejected at dt_min={_DT_MIN:g} (t={t:.6g}, scaled error {err:.3g})")
+    return y_new, err, min(max(dt * factor, _DT_MIN), control.dt_max)
 
 
 # -- the run loop ---------------------------------------------------------------
@@ -426,7 +426,10 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
 
     Fixed-step schemes, ``adi`` among them, take ``dt`` (final partial
     step shortened to land exactly on t_final); ``ck45`` takes a
-    StepControl.  ``dealias`` masks the spectral schemes' reaction term
+    StepControl, which it only reads: the run keeps its own next step,
+    starting at control.dt within [1e-10, dt_max], and records each
+    accepted step in dt_history as (time after the step, the step
+    taken).  ``dealias`` masks the spectral schemes' reaction term
     by the 2/3 rule, which removes all aliasing only from a quadratic
     reaction; ``adi`` rejects it.  ``sink`` is called with the
     initial state, at every crossing of the snapshot cadence, and with the
@@ -444,10 +447,6 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     if scheme == "ck45":
         if control is None:
             raise ValueError("ck45 needs a StepControl (set rel_tol there)")
-        for name in ("dt", "rel_tol", "dt_max"):
-            value = getattr(control, name)
-            if bound := _broken_bound(value):
-                raise ValueError(f"StepControl.{name} must be {bound}, got {value}")
     else:
         control = None  # only ck45 reads a StepControl
         if dt is None:
@@ -503,6 +502,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     eps = 1e-9 * max(1.0, abs(t_final), abs(t0))
     next_snap = None if snap_every is None else t0 + snap_every
     dt_history = None if control is None else []
+    proposal = None if control is None else min(max(control.dt, _DT_MIN), control.dt_max)
     emit(state)
     emitted = state
 
@@ -523,18 +523,16 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
                 # pin time arithmetic to multiples of dt to avoid drift
                 t = t0 + accepted * dt if h == dt else t_final
             else:
-                proposal = control.dt
-                h = control.dt = min(proposal, remaining)
-                y_new, h_taken, _ = _ck45_attempt(reaction, grid, symbol, control, y, t)
-                if y_new is None:  # rejected: the controller has shrunk control.dt
+                h = min(proposal, remaining)
+                # a step cut short to land on t_final is the last one, so
+                # the proposal it cut needs no keeping
+                y_new, _, proposal = _ck45_attempt(reaction, grid, symbol, control, y, t, h)
+                if y_new is None:  # rejected: proposal is the shrunk step
                     continue
                 y = y_new
                 accepted += 1
-                t += h_taken
+                t += h
                 dt_history.append((t, h))
-                # keep the controller's growth proposal, not the endpoint clamp
-                if h < proposal:
-                    control.dt = max(control.dt, min(proposal, control.dt_max))
             if next_snap is not None and t + eps >= next_snap:
                 emitted = as_state(y, t)
                 emit(emitted)

@@ -400,3 +400,21 @@ def test_upsample_equal_size_is_allowed(run_2d, capsys):
 def test_upsample_requires_a_run_directory(tmp_path, capsys):
     assert main(["upsample", str(tmp_path / "nowhere"), "--n", "32"]) == 1
     assert "not a run directory" in capsys.readouterr().err
+
+
+def test_upsample_of_a_deleted_snapshot_exits_one(run_2d, capsys):
+    (run_2d / "snap_00002.bin").unlink()
+    assert main(["upsample", str(run_2d), "--n", "32"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "snap_00002.bin" in err[0]
+
+
+def test_upsample_of_a_header_without_species_exits_one(run_2d, capsys):
+    header = run_2d / "header.txt"
+    header.write_text("".join(line for line in header.read_text().splitlines(True)
+                              if not line.startswith("species")))
+    assert main(["upsample", str(run_2d), "--n", "32"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "header.txt" in err[0] and "'species'" in err[0]

@@ -65,7 +65,7 @@ def test_forward_is_the_half_of_the_complex_fft(n, dims):
     g = make_grid(n, 2.0, dims)
     rng = np.random.default_rng(3)
     fields = rng.standard_normal((2,) + g.shape)
-    full = np.fft.fftn(fields, axes=g.axes)
+    full = np.fft.fftn(fields, axes=tuple(range(-g.dims, 0)))
     uhat = forward(g, fields)
     assert uhat.shape == (2,) + g.spectral_shape
     assert np.allclose(uhat, full[..., : g.n[0] // 2 + 1], rtol=0, atol=1e-12)
@@ -81,17 +81,17 @@ def test_transforms_are_bit_equal_to_the_nd_calls(n, dims):
     g = make_grid(n, 2.0, dims)
     fields = np.random.default_rng(5).standard_normal((2,) + g.shape)
     before = fields.copy()
+    axes = tuple(range(-g.dims, 0))
     uhat = forward(g, fields)
     assert np.array_equal(fields, before)
-    assert np.array_equal(uhat, np.fft.rfftn(fields, axes=g.axes))
+    assert np.array_equal(uhat, np.fft.rfftn(fields, axes=axes))
     assert np.array_equal(inverse_real(g, uhat),
-                          np.fft.irfftn(uhat, s=g.shape, axes=g.axes))
+                          np.fft.irfftn(uhat, s=g.shape, axes=axes))
 
 
 def test_grid_tuples_are_built_once():
     g = make_grid((12, 8), 2.0, 2)
     assert g.shape is g.shape and g.spectral_shape is g.spectral_shape
-    assert g.axes is g.axes == (-2, -1)
 
 
 def test_inverse_checks_the_spectral_shape():

@@ -88,7 +88,8 @@ def test_contour_agrees_with_direct_formula_near_threshold():
         for z in (-0.499, -0.45, -0.3):
             assert z < -0.0 and abs(z) < PHI_CONTOUR_THRESHOLD
             contour = phi(slot, z)
-            direct = float(_phi_direct(slot, np.asarray(z, dtype=complex)).real)
+            zc = np.asarray(z, dtype=complex)
+            direct = float(_phi_direct(slot, zc, np.exp(zc)).real)
             assert abs(contour - direct) < 1e-12
 
 
@@ -98,8 +99,9 @@ def _phi_one_order(k, z):
     flat = np.asarray(z).ravel().astype(complex)
     out = np.empty(flat.shape, dtype=complex)
     small = np.abs(flat) <= PHI_CONTOUR_THRESHOLD
-    out[~small] = _phi_direct(k, flat[~small])
-    out[small] = _phi_direct(k, flat[small, None] + _PHI_POINTS).mean(axis=-1)
+    far, ring = flat[~small], flat[small, None] + _PHI_POINTS
+    out[~small] = _phi_direct(k, far, np.exp(far))
+    out[small] = _phi_direct(k, ring, np.exp(ring)).mean(axis=-1)
     return out.reshape(np.shape(z)).real
 
 

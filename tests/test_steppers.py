@@ -57,12 +57,14 @@ def one_step(model, grid, scheme, state, dt, **kwargs):
                      t_final=state.t + dt, **kwargs).final_state
 
 
-def ck45_attempt(spec, grid, state, control):
-    """One Cash-Karp attempt: (new (u, uhat) or None, dt tried, scaled error)."""
+def ck45_attempt(spec, grid, state, control, dt):
+    """One Cash-Karp attempt of step dt: (new (u, uhat) or None, scaled
+    error, next step to try)."""
     p = spec.params()
     N = steppers._spectral_reaction(spec, grid, p, None)
     symbol = linear_symbol(grid, spec.diffusivities_of(p))
-    return steppers._ck45_attempt(N, grid, symbol, control, (state.u, state.uhat), state.t)
+    return steppers._ck45_attempt(N, grid, symbol, control, (state.u, state.uhat),
+                                  state.t, dt)
 
 
 def rk4_scalar(u, dt, f):
@@ -158,7 +160,7 @@ def test_ck45_reduces_to_classical_on_zero_mode():
     spec = get_model("fisher1d")
     f = lambda u: u * (1.0 - u)
 
-    new, _, err = ck45_attempt(spec, grid, state, control)
+    new, err, _ = ck45_attempt(spec, grid, state, control, control.dt)
     u5, u4 = ck45_scalar(0.2, 0.1, f)
     assert new is not None
     assert np.allclose(new[0], u5, rtol=1e-12)
@@ -201,12 +203,13 @@ def test_ck45_growth_is_clamped():
     grid = make_grid(32, 1.0, 1)
     state = constant_state(grid, 1.0)
     control = StepControl(dt=0.01, rel_tol=1e-4, dt_max=5.0)
-    proposals = []
+    dt, proposals = control.dt, []
     for _ in range(6):
-        new, dt, _ = ck45_attempt(spec, grid, state, control)
+        new, _, proposal = ck45_attempt(spec, grid, state, control, dt)
         assert new is not None
         state = State(t=state.t + dt, u=new[0], uhat=new[1])
-        proposals.append(control.dt)
+        dt = proposal
+        proposals.append(proposal)
     assert proposals == [0.05, 0.25, 1.25, 5.0, 5.0, 5.0]
 
 
@@ -215,11 +218,10 @@ def test_ck45_rejection_shrinks():
     grid = make_grid(32, 1.0, 1)
     state = constant_state(grid, 0.5)
     control = StepControl(dt=4.0, rel_tol=1e-12, dt_max=5.0)  # hopeless tolerance
-    new, _, err = ck45_attempt(spec, grid, state, control)
+    new, err, proposal = ck45_attempt(spec, grid, state, control, control.dt)
     assert new is None and err > 1.0
-    assert control.dt < 4.0
-    assert control.dt >= 0.4  # shrink is floored at one tenth
-    assert control.rejected == 1
+    assert proposal < 4.0
+    assert proposal >= 0.4  # shrink is floored at one tenth
 
 
 # -- driver behavior --------------------------------------------------------------
@@ -463,15 +465,32 @@ def test_dealias_masks_reaction_contributions():
     assert np.max(np.abs(plain.uhat[0][~mask])) > 1e-11  # the mask did something
 
 
-def test_summary_counts_are_run_relative():
-    control = StepControl(dt=0.1, rel_tol=1e-4)
+def test_a_step_control_gives_the_same_run_twice():
+    # the run keeps its own step proposal and counts; the control is only read
+    control = StepControl(dt=4.0, rel_tol=1e-5)
     g = make_grid(64, 50.0, 1)
-    first = integrate("gray1d", g, scheme="ck45", t_final=1.0, control=control)
-    second = integrate("gray1d", g, scheme="ck45", t_final=1.0, control=control)
-    assert first.accepted > 0
-    # the shared controller keeps accumulating, the summaries do not
-    assert control.accepted == first.accepted + second.accepted
-    assert second.rejected == control.rejected - first.rejected
+    first = integrate("gray1d", g, scheme="ck45", t_final=5.0, control=control)
+    second = integrate("gray1d", g, scheme="ck45", t_final=5.0, control=control)
+    assert first.accepted > 0 and first.rejected > 0
+    assert second.dt_history == first.dt_history
+    assert ((second.steps, second.accepted, second.rejected, second.reaction_evals)
+            == (first.steps, first.accepted, first.rejected, first.reaction_evals))
+    assert np.array_equal(second.final_state.u, first.final_state.u)
+    assert np.array_equal(second.final_state.uhat, first.final_state.uhat)
+    assert control == StepControl(dt=4.0, rel_tol=1e-5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        control.dt = 0.5
+
+
+def test_ck45_records_the_steps_it_takes():
+    # at the rest state u = 1 the error estimate is 0, so every step is the
+    # largest allowed and the last is cut to land on t_final
+    grid = make_grid(64, get_model("fisher1d").default_grid_args[1], 1)
+    start = constant_state(grid, 1.0)
+    summary = integrate("fisher1d", grid, scheme="ck45", t_final=12.0,
+                        control=StepControl(dt=10.0, dt_max=5.0), initial_state=start)
+    assert summary.dt_history == [(5.0, 5.0), (10.0, 5.0), (12.0, 2.0)]
+    assert sum(h for _, h in summary.dt_history) == summary.t_end - start.t
 
 
 def test_reaction_eval_totals():
