@@ -8,72 +8,22 @@ Cash-Karp 4(5) adaptive variant, two ETD schemes and a dense-matrix ADI
 cost/accuracy baseline share one run loop.  A small
 model registry carries the benchmark systems, and postprocessing
 covers spectral upsampling, front tracking, and pulse counting.
+
+Each module's ``__all__`` is the one list of its public names, and the
+package exports exactly those.  The ADI run is ``adi_integrate``; the
+dense algebra under it stays in ``rdspectral.adi``.
 """
 
-from .grid import (
-    GridSpec,
-    State,
-    dealias_mask,
-    forward,
-    inverse_real,
-    make_grid,
-    state_from_physical,
-)
-from .models import (
-    MODELS,
-    ModelSpec,
-    cubic_root_u_minus,
-    default_grid,
-    default_timestep,
-    get_model,
-    initial_condition,
-)
-from .steppers import (
-    SCHEMES,
-    BlowUpError,
-    RunSummary,
-    StepControl,
-    StepSizeError,
-    integrate,
-    linear_symbol,
-    phi,
-)
-from .adi import DiffMatrix, adi_integrate, adi_step, build_diff_matrix
-from .postprocess import (
-    FrontTrace,
-    fourier_upsample_1d,
-    fourier_upsample_2d,
-    front_position,
-    front_speed,
-    max_abs_error,
-    pulse_count,
-    trace_front,
-)
-from .runio import (
-    ConfigError,
-    RunConfig,
-    RunWriter,
-    iter_snapshots,
-    load_config,
-    load_snapshot,
-)
-from .harness import ConvergenceStudy, convergence_study
+from .grid import *
+from .models import *
+from .steppers import *
+from .adi import *
+from .postprocess import *
+from .runio import *
+from .harness import *
+from . import adi, grid, harness, models, postprocess, runio, steppers
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GridSpec", "State", "make_grid", "forward", "inverse_real",
-    "dealias_mask", "state_from_physical",
-    "MODELS", "ModelSpec", "get_model", "default_grid", "default_timestep",
-    "initial_condition", "cubic_root_u_minus",
-    "SCHEMES", "integrate", "StepControl", "RunSummary",
-    "BlowUpError", "StepSizeError", "phi", "linear_symbol",
-    "DiffMatrix", "build_diff_matrix", "adi_step", "adi_integrate",
-    "FrontTrace", "fourier_upsample_1d", "fourier_upsample_2d",
-    "front_position", "trace_front", "front_speed", "pulse_count",
-    "max_abs_error",
-    "RunConfig", "RunWriter", "ConfigError", "load_config", "load_snapshot",
-    "iter_snapshots",
-    "ConvergenceStudy", "convergence_study",
-    "__version__",
-]
+__all__ = [name for module in (grid, models, steppers, adi, postprocess, runio, harness)
+           for name in module.__all__] + ["__version__"]

@@ -9,10 +9,11 @@ splitting is second order in dt and every step costs dense matrix
 multiplies, so the scheme exists purely as an accuracy and cost
 baseline for square two-dimensional single-species runs.
 
-This module holds the dense algebra: the matrix, its step factors and
-one step.  The run itself is ``integrate(..., scheme="adi")`` in the
-shared run loop, which carries the physical field and transforms it
-only for a snapshot or the final state; ``adi_integrate`` is that call.
+This module holds the dense algebra, which the package does not export:
+the matrix, its step factors and one step.  The run itself is
+``integrate(..., scheme="adi")`` in the shared run loop, which carries
+the physical field and transforms it only for a snapshot or the final
+state; ``adi_integrate``, the module's one public name, is that call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import steppers
 from .grid import GridSpec, State, _broken_bound, _modes
 from .models import ModelSpec
 
-__all__ = ["DiffMatrix", "build_diff_matrix", "adi_step", "adi_integrate"]
+__all__ = ["adi_integrate"]
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class DiffMatrix:
     """
 
     n: int
-    half_length: float
     matrix: np.ndarray
 
     def factors(self, dt: float, diffusivity: float = 1.0) -> _AdiFactors:
@@ -82,7 +82,7 @@ def build_diff_matrix(n: int, half_length: float) -> DiffMatrix:
     # all eigenvalues are -omega^2 <= 0, so [I - (dt/2) d D] is never singular
     assert np.linalg.eigvalsh(matrix).max() <= 1e-8 * omega.max() ** 2
     matrix.setflags(write=False)
-    return DiffMatrix(n=n, half_length=float(half_length), matrix=matrix)
+    return DiffMatrix(n=n, matrix=matrix)
 
 
 def adi_step(u: np.ndarray, reaction, factors: _AdiFactors) -> np.ndarray:

@@ -20,7 +20,7 @@ from .models import ModelSpec, default_grid, get_model, initial_condition
 from .postprocess import max_abs_error
 from .steppers import BlowUpError, StepControl, StepSizeError, integrate
 
-__all__ = ["ConvergenceStudy", "convergence_study", "fit_slope"]
+__all__ = ["ConvergenceStudy", "convergence_study"]
 
 
 def fit_slope(dts, errors) -> float:

@@ -43,12 +43,8 @@ from .steppers import SCHEMES, RunSummary, _scheme_problems
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "parse_config_text",
     "load_config",
-    "config_to_text",
     "RunWriter",
-    "read_header",
-    "read_index",
     "load_snapshot",
     "iter_snapshots",
 ]
@@ -477,7 +473,7 @@ def _parse_kv(text: str) -> dict:
 
 def read_header(run_dir) -> dict:
     """Parsed header.txt: model, species, dims, n tuple, L tuple, cadence;
-    a missing key raises ValueError naming the file and the key."""
+    a missing key or a malformed value raises ValueError naming the file."""
     path = Path(run_dir) / "header.txt"
     raw = _parse_kv(path.read_text())
     try:
@@ -492,14 +488,21 @@ def read_header(run_dir) -> dict:
         }
     except KeyError as err:
         raise ValueError(f"{path} has no {err.args[0]!r} key") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def read_index(run_dir) -> list[tuple[int, float, str, int]]:
-    lines = (Path(run_dir) / "snapshots.csv").read_text().splitlines()
+    """Rows of snapshots.csv as (index, t, file name, CRC-32); a malformed
+    row raises ValueError naming the file, the line and its text."""
+    path = Path(run_dir) / "snapshots.csv"
     rows = []
-    for line in lines[1:]:
-        k, t, name, crc = line.split(",")
-        rows.append((int(k), float(t), name, int(crc)))
+    for number, line in enumerate(path.read_text().splitlines()[1:], start=2):
+        try:
+            k, t, name, crc = line.split(",")
+            rows.append((int(k), float(t), name, int(crc)))
+        except ValueError:
+            raise ValueError(f"{path} line {number} is not an index row: {line!r}") from None
     return rows
 
 

@@ -45,6 +45,7 @@ from .grid import GridSpec, State, _broken_bound, state_from_physical
 from .models import ModelSpec, default_grid as _default_grid, get_model, initial_condition
 
 __all__ = [
+    "SCHEMES",
     "BlowUpError",
     "StepSizeError",
     "StepControl",
@@ -401,6 +402,21 @@ def _scheme_problems(scheme: str, spec: ModelSpec | None, grid: GridSpec | None,
     return problems
 
 
+def _check_start(state: State, species: int, grid: GridSpec, scheme: str,
+                 t_final: float) -> None:
+    """Refuse a start the run cannot step: fields not shaped for
+    ``species`` on ``grid`` (ADI reads no uhat), or a t_final before it."""
+    expected = (species, *grid.shape)
+    if state.u.shape != expected:
+        raise ValueError(f"initial state u has shape {state.u.shape}, expected {expected}")
+    expected = (species, *grid.spectral_shape)
+    got = None if state.uhat is None else state.uhat.shape
+    if scheme != "adi" and got != expected:
+        raise ValueError(f"initial state uhat has shape {got}, expected {expected}")
+    if t_final < state.t:
+        raise ValueError(f"t_final must be at least the start time {state.t}, got {t_final}")
+
+
 @dataclass
 class RunSummary:
     model: str
@@ -434,7 +450,8 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     reaction; ``adi`` rejects it.  ``sink`` is called with the
     initial state, at every crossing of the snapshot cadence, and with the
     final state.  A start that is not finite or exceeds the blow-up limit
-    raises BlowUpError.
+    raises BlowUpError; one not shaped for the model on the grid, or
+    later than t_final, raises ValueError before the first step.
 
     ADI steps the physical field and returns no uhat, so a step costs no
     transform: the loop transforms only to hand out a State, and hands
@@ -492,6 +509,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     # the one coefficient cache: per step size, dt and a shortened final step
     coefficients = {} if control is not None else {dt: build(dt)}
     state = initial_state if initial_state is not None else initial_condition(spec, grid, p)
+    _check_start(state, spec.species, grid, scheme, t_final)
 
     def as_state(y, t):
         u, U = y

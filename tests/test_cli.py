@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: exit codes 0/1/2 and artifacts."""
 
+import re
+
 import numpy as np
 import pytest
 
 from rdspectral.cli import main
 from rdspectral.models import MODELS
-from rdspectral.runio import RunConfig, load_config, load_snapshot, read_header
+from rdspectral.runio import (RunConfig, iter_snapshots, load_config, load_snapshot,
+                              read_header)
 
 
 def test_list_models_prints_registry_order(capsys):
@@ -402,19 +405,39 @@ def test_upsample_requires_a_run_directory(tmp_path, capsys):
     assert "not a run directory" in capsys.readouterr().err
 
 
-def test_upsample_of_a_deleted_snapshot_exits_one(run_2d, capsys):
-    (run_2d / "snap_00002.bin").unlink()
-    assert main(["upsample", str(run_2d), "--n", "32"]) == 1
+def _upsample_error(run_dir, capsys) -> str:
+    """The one ``error:`` line of an upsample that exits 1."""
+    assert main(["upsample", str(run_dir), "--n", "32"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "snap_00002.bin" in err[0]
+    return err[0]
+
+
+def test_upsample_of_a_deleted_snapshot_exits_one(run_2d, capsys):
+    (run_2d / "snap_00002.bin").unlink()
+    assert "snap_00002.bin" in _upsample_error(run_2d, capsys)
 
 
 def test_upsample_of_a_header_without_species_exits_one(run_2d, capsys):
     header = run_2d / "header.txt"
     header.write_text("".join(line for line in header.read_text().splitlines(True)
                               if not line.startswith("species")))
-    assert main(["upsample", str(run_2d), "--n", "32"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "header.txt" in err[0] and "'species'" in err[0]
+    err = _upsample_error(run_2d, capsys)
+    assert "header.txt" in err and "'species'" in err
+
+
+def test_a_header_with_a_malformed_value_is_named(run_2d, capsys):
+    header = run_2d / "header.txt"
+    header.write_text(re.sub(r"(?m)^species = .*$", "species = one", header.read_text()))
+    assert "header.txt" in _upsample_error(run_2d, capsys)
+    with pytest.raises(ValueError, match=r"header\.txt: .*'one'"):
+        list(iter_snapshots(run_2d))
+
+
+def test_an_index_with_a_malformed_row_is_named(run_2d, capsys):
+    index = run_2d / "snapshots.csv"
+    index.write_text(index.read_text() + "garbage\n")
+    message = r"snapshots\.csv line 5 is not an index row: 'garbage'"
+    assert re.search(message, _upsample_error(run_2d, capsys))
+    with pytest.raises(ValueError, match=message):
+        list(iter_snapshots(run_2d))

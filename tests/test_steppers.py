@@ -340,6 +340,39 @@ def test_integrate_validation():
         integrate("gray1d", g, scheme="rk4", dt=0.1, t_final=1.0, snap_every=0.0)
 
 
+def test_a_start_with_the_wrong_species_is_refused():
+    grid = make_grid(64, 50.0, 1)
+    start = initial_condition("fisher1d", grid)  # one species; gray1d has two
+    with pytest.raises(ValueError, match=r"u has shape \(1, 64\), expected \(2, 64\)"):
+        integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=1.0, initial_state=start)
+
+
+def test_an_adi_start_on_another_grid_is_refused():
+    start = initial_condition("fisher2d", make_grid(32, 25.0, 2))
+    with pytest.raises(ValueError, match=r"u has shape \(1, 32, 32\), expected \(1, 16, 16\)"):
+        integrate("fisher2d", make_grid(16, 25.0, 2), scheme="adi", dt=0.1, t_final=1.0,
+                  initial_state=start)
+
+
+def test_only_spectral_schemes_need_the_start_spectrum():
+    grid = make_grid(16, 25.0, 2)
+    start = dataclasses.replace(initial_condition("fisher2d", grid), uhat=None)
+    with pytest.raises(ValueError, match=r"uhat has shape None, expected \(1, 16, 9\)"):
+        integrate("fisher2d", grid, scheme="rk4", dt=0.1, t_final=0.2, initial_state=start)
+    summary = integrate("fisher2d", grid, scheme="adi", dt=0.1, t_final=0.2,
+                        initial_state=start)
+    assert summary.steps == 2 and summary.t_end == 0.2
+
+
+def test_a_start_after_t_final_is_refused():
+    grid = make_grid(64, 50.0, 1)
+    start = dataclasses.replace(initial_condition("gray1d", grid), t=1.0)
+    with pytest.raises(ValueError, match="t_final must be at least the start time 1.0, got 0.5"):
+        integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=0.5, initial_state=start)
+    summary = integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=1.0, initial_state=start)
+    assert summary.steps == 0 and summary.t_end == 1.0
+
+
 @pytest.mark.parametrize("given, problem", [
     ({"dt": np.nan}, "dt must be positive, got nan"),
     ({"dt": np.inf}, "dt must be finite, got inf"),
