@@ -95,12 +95,10 @@ def _cmd_run(args) -> int:
     out = Path(cfg.out) if cfg.out else Path("runs") / cfg.model
     writer = RunWriter(out, grid, cfg.model, spec.species,
                        config=cfg, snap_every=cfg.snap_every)
-    control = None
-    if cfg.scheme == "ck45":
-        control = StepControl(**_given(cfg, ("dt", "rel_tol")))
+    control = None if cfg.rel_tol is None else StepControl(rel_tol=cfg.rel_tol)
     try:
         summary = integrate(spec, grid, scheme=cfg.scheme, t_final=cfg.t_final,
-                            dt=cfg.resolved_dt(), control=control, params=cfg.params,
+                            dt=cfg.dt, control=control, params=cfg.params,
                             dealias=cfg.dealias, snap_every=cfg.snap_every, sink=writer)
     except (BlowUpError, StepSizeError) as err:
         status = "blowup" if isinstance(err, BlowUpError) else "stepfail"

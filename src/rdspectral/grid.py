@@ -189,10 +189,10 @@ def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean 2/3-rule mask on the half spectrum (True = keep |k| <= n//3).
+    """Boolean 2/3-rule mask on the half spectrum (True = keep 3|k| < n).
     It removes all aliasing only from quadratic products: a cubic one
     needs the cut below n/4, and a non-polynomial rate has no such cut."""
-    masks = [np.abs(_modes(n)) <= n // 3 for n in grid.n]
+    masks = [3 * np.abs(_modes(n)) < n for n in grid.n]
     masks[0] = masks[0][: grid.n[0] // 2 + 1]
     if grid.dims == 1:
         return masks[0]

@@ -62,11 +62,10 @@ class ConvergenceStudy:
 def _final_fields(spec: ModelSpec, grid: GridSpec, scheme: str, dt: float,
                   t_final: float, params, start: State, dealias: bool):
     # the adaptive scheme's accuracy knob is its tolerance, so that is what
-    # the sweep varies; the starting step is the controller default
-    control = StepControl(rel_tol=dt) if scheme == "ck45" else None
-    summary = integrate(spec, grid, scheme=scheme, t_final=t_final, dt=dt,
-                        control=control, params=params, dealias=dealias,
-                        initial_state=start)
+    # the sweep varies; its first step is the model's default_timestep
+    step = {"control": StepControl(rel_tol=dt)} if scheme == "ck45" else {"dt": dt}
+    summary = integrate(spec, grid, scheme=scheme, t_final=t_final, params=params,
+                        dealias=dealias, initial_state=start, **step)
     return summary.final_state.u
 
 
@@ -76,7 +75,8 @@ def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
                       params: Mapping[str, float] | None = None,
                       dealias: bool = False) -> ConvergenceStudy:
     """Run every scheme at every dt and tabulate max-abs error at t_final
-    against the gold run.
+    against the gold run.  For ``ck45`` each dt is taken as the tolerance
+    (rel_tol), and every run tries the model's default_timestep first.
 
     A blow-up in the gold run propagates and aborts the study; a blow-up
     or step failure in a member run records an infinite error and the

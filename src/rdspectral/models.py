@@ -190,120 +190,108 @@ def _d_pair(p):
     return (1.0, p["eps"])
 
 
-MODELS: dict[str, ModelSpec] = {}
-
-
-def _register(spec: ModelSpec) -> ModelSpec:
-    MODELS[spec.name] = spec
-    return spec
-
-
-FISHER1D = _register(ModelSpec(
-    name="fisher1d",
-    species=1,
-    default_params={"delta": 1.0},
-    default_grid_args=(1024, 150.0, 1),
-    equations="u_t = u_xx + u(1 - u)",
-    param_doc={"delta": "decay rate of the initial profile 1/(2 cosh(delta x))"},
-    rates=_fisher,
-    diffusivities_of=_d_single,
-    ic=_ic_fisher1d,
-))
-
-FISHER2D = _register(ModelSpec(
-    name="fisher2d",
-    species=1,
-    default_params={},
-    default_grid_args=(256, 25.0, 2),
-    equations="u_t = lap(u) + u(1 - u)",
-    param_doc={},
-    rates=_fisher,
-    diffusivities_of=_d_single,
-    ic=_ic_fisher2d,
-))
-
-EPIDEMIC = _register(ModelSpec(
-    name="epidemic",
-    species=2,
-    default_params={"lam": 1.0, "eps": 1.0},
-    default_grid_args=(512, 50.0, 1),
-    equations="u_t = u_xx + u(v - lam);  v_t = eps*v_xx - u*v",
-    param_doc={
-        "lam": "infection threshold (demonstration default, not calibrated)",
-        "eps": "susceptible diffusivity (demonstration default, not calibrated)",
-    },
-    rates=_epidemic,
-    diffusivities_of=_d_pair,
-    ic=_ic_epidemic,
-))
-
-GRAY1D = _register(ModelSpec(
-    name="gray1d",
-    species=2,
-    default_params={"a": 9.0, "b": 0.4, "eps": 0.01},
-    default_grid_args=(512, 50.0, 1),
-    equations=("u_t = u_xx - u*v^2 + A(1 - u);  v_t = eps*v_xx + u*v^2 - B*v, "
-               "with A = eps*a and B = eps^(1/3)*b"),
-    param_doc={
-        "a": "feed-rate group, enters through A = eps*a",
-        "b": "decay-rate group, enters through B = eps^(1/3)*b",
-        "eps": "ratio of diffusivities",
-    },
-    rates=_gray,
-    diffusivities_of=_d_pair,
-    ic=_ic_gray1d,
-))
-
-GRAY2D = _register(ModelSpec(
-    name="gray2d",
-    species=2,
-    default_params={"a": 9.0, "b": 0.4, "eps": 0.01, "asym": 0.0},
-    default_grid_args=(256, 25.0, 2),
-    equations=("u_t = lap(u) - u*v^2 + A(1 - u);  v_t = eps*lap(v) + u*v^2 - B*v, "
-               "with A = eps*a and B = eps^(1/3)*b"),
-    param_doc={
-        "a": "feed-rate group, enters through A = eps*a",
-        "b": "decay-rate group, enters through B = eps^(1/3)*b",
-        "eps": "ratio of diffusivities",
-        "asym": "nonzero stretches the seed (r^2 = x^2/2 + y^2 instead of x^2 + y^2)",
-    },
-    rates=_gray,
-    diffusivities_of=_d_pair,
-    ic=_ic_gray2d,
-))
-
-AUTO = _register(ModelSpec(
-    name="auto",
-    species=2,
-    default_params={"eps": 0.1, "m": 9.0},
-    default_grid_args=(512, 50.0, 1),
-    equations="u_t = u_xx + v*max(u,0)^m;  v_t = eps*v_xx - v*max(u,0)^m",
-    param_doc={
-        "eps": "inverse Lewis number (heat vs mass diffusion)",
-        "m": "reaction order; integer >= 1, steep fronts for m >= 10",
-    },
-    rates=_auto,
-    diffusivities_of=_d_pair,
-    ic=_ic_auto,
-    timestep_of=lambda p: 0.02 if p["m"] >= 10.0 else _DEFAULT_DT,
-))
-
-LABYRINTHE2D = _register(ModelSpec(
-    name="labyrinthe2d",
-    species=2,
-    default_params={"a0": -0.1, "a1": 2.0, "eps": 0.05, "delta": 4.0},
-    default_grid_args=(128, 100.0, 2),
-    equations="u_t = lap(u) + u - u^3 - v;  v_t = eps*lap(v) + delta*(u - a1*v - a0)",
-    param_doc={
-        "a0": "kinetics offset; sets the rest state through the cubic root",
-        "a1": "v feedback slope",
-        "eps": "v diffusivity",
-        "delta": "kinetics rate ratio",
-    },
-    rates=_labyrinthine,
-    diffusivities_of=_d_pair,
-    ic=_ic_labyrinthine,
-))
+MODELS: dict[str, ModelSpec] = {spec.name: spec for spec in (
+    ModelSpec(
+        name="fisher1d",
+        species=1,
+        default_params={"delta": 1.0},
+        default_grid_args=(1024, 150.0, 1),
+        equations="u_t = u_xx + u(1 - u)",
+        param_doc={"delta": "decay rate of the initial profile 1/(2 cosh(delta x))"},
+        rates=_fisher,
+        diffusivities_of=_d_single,
+        ic=_ic_fisher1d,
+    ),
+    ModelSpec(
+        name="fisher2d",
+        species=1,
+        default_params={},
+        default_grid_args=(256, 25.0, 2),
+        equations="u_t = lap(u) + u(1 - u)",
+        param_doc={},
+        rates=_fisher,
+        diffusivities_of=_d_single,
+        ic=_ic_fisher2d,
+    ),
+    ModelSpec(
+        name="epidemic",
+        species=2,
+        default_params={"lam": 1.0, "eps": 1.0},
+        default_grid_args=(512, 50.0, 1),
+        equations="u_t = u_xx + u(v - lam);  v_t = eps*v_xx - u*v",
+        param_doc={
+            "lam": "infection threshold (demonstration default, not calibrated)",
+            "eps": "susceptible diffusivity (demonstration default, not calibrated)",
+        },
+        rates=_epidemic,
+        diffusivities_of=_d_pair,
+        ic=_ic_epidemic,
+    ),
+    ModelSpec(
+        name="gray1d",
+        species=2,
+        default_params={"a": 9.0, "b": 0.4, "eps": 0.01},
+        default_grid_args=(512, 50.0, 1),
+        equations=("u_t = u_xx - u*v^2 + A(1 - u);  v_t = eps*v_xx + u*v^2 - B*v, "
+                   "with A = eps*a and B = eps^(1/3)*b"),
+        param_doc={
+            "a": "feed-rate group, enters through A = eps*a",
+            "b": "decay-rate group, enters through B = eps^(1/3)*b",
+            "eps": "ratio of diffusivities",
+        },
+        rates=_gray,
+        diffusivities_of=_d_pair,
+        ic=_ic_gray1d,
+    ),
+    ModelSpec(
+        name="gray2d",
+        species=2,
+        default_params={"a": 9.0, "b": 0.4, "eps": 0.01, "asym": 0.0},
+        default_grid_args=(256, 25.0, 2),
+        equations=("u_t = lap(u) - u*v^2 + A(1 - u);  v_t = eps*lap(v) + u*v^2 - B*v, "
+                   "with A = eps*a and B = eps^(1/3)*b"),
+        param_doc={
+            "a": "feed-rate group, enters through A = eps*a",
+            "b": "decay-rate group, enters through B = eps^(1/3)*b",
+            "eps": "ratio of diffusivities",
+            "asym": "nonzero stretches the seed (r^2 = x^2/2 + y^2 instead of x^2 + y^2)",
+        },
+        rates=_gray,
+        diffusivities_of=_d_pair,
+        ic=_ic_gray2d,
+    ),
+    ModelSpec(
+        name="auto",
+        species=2,
+        default_params={"eps": 0.1, "m": 9.0},
+        default_grid_args=(512, 50.0, 1),
+        equations="u_t = u_xx + v*max(u,0)^m;  v_t = eps*v_xx - v*max(u,0)^m",
+        param_doc={
+            "eps": "inverse Lewis number (heat vs mass diffusion)",
+            "m": "reaction order; integer >= 1, steep fronts for m >= 10",
+        },
+        rates=_auto,
+        diffusivities_of=_d_pair,
+        ic=_ic_auto,
+        timestep_of=lambda p: 0.02 if p["m"] >= 10.0 else _DEFAULT_DT,
+    ),
+    ModelSpec(
+        name="labyrinthe2d",
+        species=2,
+        default_params={"a0": -0.1, "a1": 2.0, "eps": 0.05, "delta": 4.0},
+        default_grid_args=(128, 100.0, 2),
+        equations="u_t = lap(u) + u - u^3 - v;  v_t = eps*lap(v) + delta*(u - a1*v - a0)",
+        param_doc={
+            "a0": "kinetics offset; sets the rest state through the cubic root",
+            "a1": "v feedback slope",
+            "eps": "v diffusivity",
+            "delta": "kinetics rate ratio",
+        },
+        rates=_labyrinthine,
+        diffusivities_of=_d_pair,
+        ic=_ic_labyrinthine,
+    ),
+)}
 
 
 def get_model(name: str) -> ModelSpec:

@@ -42,7 +42,8 @@ import numpy as np
 from . import adi
 from . import grid as spectral
 from .grid import GridSpec, State, _broken_bound, state_from_physical
-from .models import ModelSpec, default_grid as _default_grid, get_model, initial_condition
+from .models import (ModelSpec, default_grid as _default_grid, default_timestep, get_model,
+                     initial_condition)
 
 __all__ = [
     "SCHEMES",
@@ -317,17 +318,16 @@ def _build_tables(scheme: str, symbol: np.ndarray, dt: float):
 
 @dataclass(frozen=True)
 class StepControl:
-    """ck45's settings: the first step tried, the relative tolerance of
-    the error estimate and the largest step.  Each must be positive and
-    finite, which is checked when it is made; a run reads it and writes
-    nothing back, so one StepControl gives the same run every time."""
+    """ck45's error control: the relative tolerance of the error estimate
+    and the largest step.  Each must be positive and finite, which is
+    checked when it is made; a run reads it and writes nothing back, so
+    one StepControl gives the same run every time."""
 
-    dt: float = 0.1
     rel_tol: float = 1e-4
     dt_max: float = 5.0
 
     def __post_init__(self):
-        for name in ("dt", "rel_tol", "dt_max"):
+        for name in ("rel_tol", "dt_max"):
             value = getattr(self, name)
             if bound := _broken_bound(value):
                 raise ValueError(f"StepControl.{name} must be {bound}, got {value}")
@@ -374,14 +374,25 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
 SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b", "adi")
 
 
-def _scheme_problems(scheme: str, spec: ModelSpec | None, grid: GridSpec | None,
-                     dealias: bool) -> list[str]:
-    """Why ``scheme`` cannot run ``spec`` on ``grid`` (None: the model's
-    registered grid) with ``dealias``; empty when it can.  Only ADI has
-    limits.  ``spec`` None, an unknown model, skips the model checks."""
-    if scheme != "adi":
-        return []
+def _run_problems(scheme: str, spec: ModelSpec | None, grid: GridSpec | None, *,
+                  dt: float | None, t_final: float | None, snap_every: float | None,
+                  control: StepControl | None, dealias: bool) -> list[str]:
+    """Every reason ``integrate`` refuses a run; empty when it can run it.
+    A setting left None is not checked, ``spec`` None (an unknown model)
+    skips the model checks, and ``grid`` None is the model's registered
+    grid.  Only ADI has limits of its own."""
     problems = []
+    if scheme not in SCHEMES:
+        problems.append(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
+    for name, value, nonnegative in (("dt", dt, False), ("t_final", t_final, True)):
+        if value is not None and (bound := _broken_bound(value, nonnegative)):
+            problems.append(f"{name} must be {bound}, got {value}")
+    if snap_every is not None and not snap_every > 0:
+        problems.append(f"snap_every must be positive, got {snap_every}")
+    if control is not None and scheme in SCHEMES and scheme != "ck45":
+        problems.append(f"a StepControl is read only by scheme ck45, not by {scheme}")
+    if scheme != "adi":
+        return problems
     if spec is not None:
         grid = grid if grid is not None else _default_grid(spec)
         if grid.dims != 2:
@@ -440,18 +451,21 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
               initial_state: State | None = None) -> RunSummary:
     """Drive a scheme from the model's initial state to t_final.
 
-    Fixed-step schemes, ``adi`` among them, take ``dt`` (final partial
-    step shortened to land exactly on t_final); ``ck45`` takes a
-    StepControl, which it only reads: the run keeps its own next step,
-    starting at control.dt within [1e-10, dt_max], and records each
-    accepted step in dt_history as (time after the step, the step
-    taken).  ``dealias`` masks the spectral schemes' reaction term
-    by the 2/3 rule, which removes all aliasing only from a quadratic
-    reaction; ``adi`` rejects it.  ``sink`` is called with the
-    initial state, at every crossing of the snapshot cadence, and with the
-    final state.  A start that is not finite or exceeds the blow-up limit
-    raises BlowUpError; one not shaped for the model on the grid, or
-    later than t_final, raises ValueError before the first step.
+    Every scheme takes ``dt``, by default the model's default_timestep.
+    The fixed-step schemes, ``adi`` among them, step by it (the final
+    partial step shortened to land exactly on t_final) and refuse a
+    StepControl.  ``ck45`` tries it first, within [1e-10, dt_max], then
+    steps as its ``control`` (by default StepControl()) allows; it only
+    reads the control, keeps its own next step and records each accepted
+    step in dt_history as (time after the step, the step taken).
+    ``dealias`` masks the spectral schemes' reaction term by the 2/3 rule,
+    which removes all aliasing only from a quadratic reaction; ``adi``
+    rejects it.  ``sink`` is called with the initial state, at every
+    crossing of the snapshot cadence, and with the final state.  Invalid
+    settings raise one ValueError naming every problem.  A start that is
+    not finite or exceeds the blow-up limit raises BlowUpError; one not
+    shaped for the model on the grid, or later than t_final, raises
+    ValueError before the first step.
 
     ADI steps the physical field and returns no uhat, so a step costs no
     transform: the loop transforms only to hand out a State, and hands
@@ -459,27 +473,16 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     transforming it again.  The seconds spent in its dense half-step
     algebra, the dominant per-step cost, become the run's dense_time.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
-    if scheme == "ck45":
-        if control is None:
-            raise ValueError("ck45 needs a StepControl (set rel_tol there)")
-    else:
-        control = None  # only ck45 reads a StepControl
-        if dt is None:
-            raise ValueError(f"scheme {scheme!r} needs a fixed dt")
-        if bound := _broken_bound(dt):
-            raise ValueError(f"dt must be {bound}, got {dt}")
-    if bound := _broken_bound(t_final, nonnegative=True):
-        raise ValueError(f"t_final must be {bound}, got {t_final}")
-    if snap_every is not None and not snap_every > 0:
-        raise ValueError(f"snapshot cadence must be positive, got {snap_every}")
     spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
         grid = _default_grid(spec)
-    problems = _scheme_problems(scheme, spec, grid, dealias)
+    problems = _run_problems(scheme, spec, grid, dt=dt, t_final=t_final,
+                             snap_every=snap_every, control=control, dealias=dealias)
     if problems:
         raise ValueError("; ".join(problems))
+    dt = dt if dt is not None else default_timestep(spec, params)
+    if scheme == "ck45":
+        control = control or StepControl()
     p = spec.params(params)
 
     dense = None
@@ -520,7 +523,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     eps = 1e-9 * max(1.0, abs(t_final), abs(t0))
     next_snap = None if snap_every is None else t0 + snap_every
     dt_history = None if control is None else []
-    proposal = None if control is None else min(max(control.dt, _DT_MIN), control.dt_max)
+    proposal = None if control is None else min(max(dt, _DT_MIN), control.dt_max)
     emit(state)
     emitted = state
 

@@ -242,14 +242,9 @@ def test_criterion_4_pure_diffusion_exactness(criterion):
                 for decay, u0 in zip(decays, start.u)])
             scale = np.max(np.abs(analytic))
             for scheme in ("rk4", "etdrk4", "etdrk4b", "ck45"):
-                if scheme == "ck45":
-                    control = StepControl(dt=dt, rel_tol=1e-6, dt_max=dt)
-                    summary = integrate(silent, grid, scheme="ck45",
-                                        t_final=t_final, control=control,
-                                        initial_state=start)
-                else:
-                    summary = integrate(silent, grid, scheme=scheme, dt=dt,
-                                        t_final=t_final, initial_state=start)
+                control = StepControl(rel_tol=1e-6, dt_max=dt) if scheme == "ck45" else None
+                summary = integrate(silent, grid, scheme=scheme, dt=dt, t_final=t_final,
+                                    control=control, initial_state=start)
                 err = max_abs_error(summary.final_state.u, analytic) / scale
                 worst = max(worst, err)
     criterion(4, worst < 1e-12,

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from rdspectral.grid import (GridSpec, dealias_mask, forward, inverse_real,
                              make_grid, state_from_physical)
+from rdspectral.models import get_model
 
 
 def test_coords_layout():
@@ -140,10 +141,11 @@ def test_laplacian_symbol_2d_diffusivity():
 
 
 def test_dealias_mask_two_thirds_rule():
+    # 3|k| < n: at n = 12 mode 4 goes, as 4 + 4 aliases onto -4
     g = make_grid(12, 1.0, 1)
     mask = dealias_mask(g)
     index = np.concatenate([np.arange(7), np.arange(-5, 0)])
-    full = np.abs(index) <= 4
+    full = np.abs(index) <= 3
     assert np.array_equal(mask, full[:7])   # modes 0..6 of the half spectrum
     g2 = make_grid(12, 1.0, 2)
     m2 = dealias_mask(g2)
@@ -151,8 +153,27 @@ def test_dealias_mask_two_thirds_rule():
     assert np.array_equal(m2, np.outer(full, full)[:, :7])
 
 
+@pytest.mark.parametrize("n", [64, 96, 192])
+def test_dealias_mask_leaves_a_quadratic_rate_exact_on_the_kept_modes(n):
+    # fisher1d's u(1 - u) on fields band-limited to the mask, against the
+    # product taken on an 8x finer grid, where nothing aliases
+    g = make_grid(n, 10.0, 1)
+    mask = dealias_mask(g)
+    rates = get_model("fisher1d").rates
+    rng = np.random.default_rng(n)
+    fine = 8 * n
+    for _ in range(5):
+        coeffs = np.where(mask, rng.normal(size=mask.size) + 1j * rng.normal(size=mask.size),
+                          0.0) * (0.05 * n)
+        coeffs[0] = 0.5 * n
+        u = inverse_real(g, coeffs)
+        exact = np.fft.rfft(rates(np.fft.irfft(coeffs * 8.0, n=fine)[None], {})[0])
+        got = forward(g, rates(u[None], {})[0]) * mask / n
+        assert np.max(np.abs(got - mask * exact[: mask.size] / fine)) < 1e-13
+
+
 def test_dealias_mask_removes_aliased_product():
-    # squaring the largest kept mode (k = n//3) aliases its 2k harmonic to
+    # squaring the largest kept mode (3k < n) aliases its 2k harmonic to
     # wavenumber 2k - n, which the mask must reject
     g = make_grid(32, np.pi, 1)
     k = 10

@@ -18,7 +18,7 @@ from rdspectral.runio import (
     read_header,
     read_index,
 )
-from rdspectral.steppers import SCHEMES, StepControl, integrate
+from rdspectral.steppers import SCHEMES, integrate
 
 
 # --------------------------------------------------------------- config text
@@ -166,11 +166,10 @@ def test_validate_reports_tol_with_a_fixed_step_scheme():
 def test_integrate_refuses_exactly_the_runs_validate_reports(model, scheme, dealias):
     cfg = RunConfig(model=model, scheme=scheme, dealias=dealias, t_final=0.0)
     problems = cfg.validate()
-    step = {"control": StepControl()} if scheme == "ck45" else {"dt": cfg.resolved_dt()}
 
     def run():
-        integrate(get_model(model), cfg.grid(), scheme=scheme, t_final=0.0,
-                  dealias=dealias, **step)
+        integrate(get_model(model), cfg.grid(), scheme=scheme, dt=cfg.resolved_dt(),
+                  t_final=0.0, dealias=dealias)
     if not problems:
         run()
         return

@@ -118,10 +118,10 @@ def test_ck45_attempt_costs(monkeypatch):
                         lambda g, f: calls.__setitem__("inv", calls["inv"] + 1) or real_inv(g, f))
     for model, grid in (("fisher1d", make_grid(32, 1.0, 1)), ("fisher2d", make_grid(16, 1.0, 2))):
         state = constant_state(grid, 0.2)
-        control = StepControl(dt=0.05, rel_tol=1e-4)
+        control = StepControl(rel_tol=1e-4)
         counting, nfev = counting_model(get_model(model))
         calls.update(fwd=0, inv=0)
-        summary = integrate(counting, grid, scheme="ck45", control=control,
+        summary = integrate(counting, grid, scheme="ck45", dt=0.05, control=control,
                             initial_state=state, t_final=state.t + 0.05)
         assert summary.steps == summary.accepted == 1
         assert nfev["rates"] == 6          # six tableau stages
@@ -156,11 +156,11 @@ def test_rk4_reduces_to_classical_on_zero_mode():
 def test_ck45_reduces_to_classical_on_zero_mode():
     grid = make_grid(16, 1.0, 1)
     state = constant_state(grid, 0.2)
-    control = StepControl(dt=0.1, rel_tol=1e-4)
+    control = StepControl(rel_tol=1e-4)
     spec = get_model("fisher1d")
     f = lambda u: u * (1.0 - u)
 
-    new, err, _ = ck45_attempt(spec, grid, state, control, control.dt)
+    new, err, _ = ck45_attempt(spec, grid, state, control, 0.1)
     u5, u4 = ck45_scalar(0.2, 0.1, f)
     assert new is not None
     assert np.allclose(new[0], u5, rtol=1e-12)
@@ -187,8 +187,7 @@ def test_etd_schemes_agree_on_zero_mode_logistic():
 def test_pure_diffusion_is_exact(scheme):
     spec = pure_diffusion()
     grid = make_grid(64, 1.0, 1)
-    kwargs = {"control": StepControl(dt=0.1, rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.1}
-    summary = integrate(spec, grid, scheme=scheme, t_final=2.0, **kwargs)
+    summary = integrate(spec, grid, scheme=scheme, dt=0.1, t_final=2.0)
     start = np.sin(np.pi * grid.coords[0])
     decay = spectral.inverse_real(
         grid, np.exp(-grid.omega_sq * 2.0) * spectral.forward(grid, start))
@@ -202,8 +201,8 @@ def test_ck45_growth_is_clamped():
     spec = pure_diffusion()
     grid = make_grid(32, 1.0, 1)
     state = constant_state(grid, 1.0)
-    control = StepControl(dt=0.01, rel_tol=1e-4, dt_max=5.0)
-    dt, proposals = control.dt, []
+    control = StepControl(rel_tol=1e-4, dt_max=5.0)
+    dt, proposals = 0.01, []
     for _ in range(6):
         new, _, proposal = ck45_attempt(spec, grid, state, control, dt)
         assert new is not None
@@ -217,8 +216,8 @@ def test_ck45_rejection_shrinks():
     spec = get_model("fisher1d")
     grid = make_grid(32, 1.0, 1)
     state = constant_state(grid, 0.5)
-    control = StepControl(dt=4.0, rel_tol=1e-12, dt_max=5.0)  # hopeless tolerance
-    new, err, proposal = ck45_attempt(spec, grid, state, control, control.dt)
+    control = StepControl(rel_tol=1e-12, dt_max=5.0)  # hopeless tolerance
+    new, err, proposal = ck45_attempt(spec, grid, state, control, 4.0)
     assert new is None and err > 1.0
     assert proposal < 4.0
     assert proposal >= 0.4  # shrink is floored at one tenth
@@ -316,10 +315,9 @@ def test_non_finite_start_is_a_blowup_at_t0(scheme):
     grid = make_grid(16, 25.0, dims)
     u = np.full(grid.shape, 0.5)
     u.flat[3] = np.nan
-    kwargs = {"control": StepControl(rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.1}
     with pytest.raises(BlowUpError) as excinfo:
-        integrate(model, grid, scheme=scheme, t_final=1.0,
-                  initial_state=state_from_physical(grid, [u]), **kwargs)
+        integrate(model, grid, scheme=scheme, dt=0.1, t_final=1.0,
+                  initial_state=state_from_physical(grid, [u]))
     assert excinfo.value.t == 0.0
     assert scheme in str(excinfo.value)
 
@@ -328,16 +326,30 @@ def test_integrate_validation():
     g = make_grid(16, 1.0, 1)
     with pytest.raises(ValueError, match="valid schemes"):
         integrate("gray1d", g, scheme="euler", dt=0.1, t_final=1.0)
-    with pytest.raises(ValueError, match="needs a fixed dt"):
-        integrate("gray1d", g, scheme="rk4", t_final=1.0)
-    with pytest.raises(ValueError, match="StepControl"):
-        integrate("gray1d", g, scheme="ck45", t_final=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         integrate("gray1d", g, scheme="rk4", dt=0.1, t_final=-1.0)
     with pytest.raises(ValueError, match="positive"):
         integrate("gray1d", g, scheme="rk4", dt=-0.1, t_final=1.0)
-    with pytest.raises(ValueError, match="cadence"):
+    with pytest.raises(ValueError, match="snap_every"):
         integrate("gray1d", g, scheme="rk4", dt=0.1, t_final=1.0, snap_every=0.0)
+
+
+def test_integrate_names_every_problem():
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", make_grid(16, 5.0, 1), scheme="rk4", dt=-1,
+                  t_final=np.nan, snap_every=0)
+    assert str(excinfo.value) == ("dt must be positive, got -1; "
+                                  "t_final must be nonnegative, got nan; "
+                                  "snap_every must be positive, got 0")
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "etdrk4", "etdrk4b", "adi"])
+def test_a_fixed_step_scheme_refuses_a_step_control(scheme):
+    model, dims = ("fisher2d", 2) if scheme == "adi" else ("fisher1d", 1)
+    with pytest.raises(ValueError) as excinfo:
+        integrate(model, make_grid(16, 5.0, dims), scheme=scheme, dt=0.1, t_final=1.0,
+                  control=StepControl())
+    assert str(excinfo.value) == f"a StepControl is read only by scheme ck45, not by {scheme}"
 
 
 def test_a_start_with_the_wrong_species_is_refused():
@@ -378,7 +390,7 @@ def test_a_start_after_t_final_is_refused():
     ({"dt": np.inf}, "dt must be finite, got inf"),
     ({"t_final": np.nan}, "t_final must be nonnegative, got nan"),
     ({"t_final": np.inf}, "t_final must be finite, got inf"),
-    ({"snap_every": np.nan}, "snapshot cadence must be positive, got nan"),
+    ({"snap_every": np.nan}, "snap_every must be positive, got nan"),
 ])
 def test_integrate_rejects_non_finite_inputs(given, problem):
     kwargs = {"dt": 0.1, "t_final": 1.0, **given}
@@ -388,14 +400,14 @@ def test_integrate_rejects_non_finite_inputs(given, problem):
 
 
 @pytest.mark.parametrize("given, problem", [
-    ({"dt": np.nan}, "StepControl.dt must be positive, got nan"),
+    ({"dt_max": np.inf}, "StepControl.dt_max must be finite, got inf"),
     ({"rel_tol": -1e-4}, "StepControl.rel_tol must be positive, got -0.0001"),
     ({"rel_tol": np.inf}, "StepControl.rel_tol must be finite, got inf"),
     ({"dt_max": np.nan}, "StepControl.dt_max must be positive, got nan"),
 ])
 def test_ck45_rejects_a_step_control_out_of_bounds(given, problem):
-    # a NaN step is rejected without ever reaching dt_min, so the run would
-    # never end; a negative tolerance makes the error scale negative
+    # a NaN largest step is rejected without ever reaching dt_min, so the
+    # run would never end; a negative tolerance makes the error scale negative
     with pytest.raises(ValueError) as excinfo:
         integrate("fisher1d", make_grid(16, 5.0, 1), scheme="ck45", t_final=1.0,
                   control=StepControl(**given))
@@ -450,11 +462,10 @@ def test_tracer_patch_points_see_every_call(monkeypatch, tmp_path):
 def test_emitted_states_keep_their_values(model, grid, scheme, dealias):
     # the step reuses its stage buffers: a State handed to the sink must
     # hold arrays that no later step writes
-    kwargs = {"control": StepControl(dt=1.0, rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.5}
     handed = []
-    summary = integrate(model, grid, scheme=scheme, t_final=5.0, snap_every=0.01,
-                        dealias=dealias, sink=lambda s: handed.append(
-                            (s, s.u.copy(), s.uhat.copy())), **kwargs)
+    summary = integrate(model, grid, scheme=scheme, dt=1.0 if scheme == "ck45" else 0.5,
+                        t_final=5.0, snap_every=0.01, dealias=dealias,
+                        sink=lambda s: handed.append((s, s.u.copy(), s.uhat.copy())))
     if scheme == "ck45":
         assert summary.rejected > 0
     assert len(handed) == summary.accepted + 1  # the start, then every step
@@ -472,9 +483,8 @@ def test_integrate_leaves_the_initial_state_untouched(scheme, dealias):
     grid = make_grid(16, 25.0, 2)
     start = initial_condition(get_model("fisher2d"), grid)
     u, uhat = start.u.copy(), start.uhat.copy()
-    kwargs = {"control": StepControl(dt=1.0, rel_tol=1e-4)} if scheme == "ck45" else {"dt": 0.5}
-    integrate("fisher2d", grid, scheme=scheme, t_final=2.0, dealias=dealias,
-              initial_state=start, **kwargs)
+    integrate("fisher2d", grid, scheme=scheme, dt=1.0 if scheme == "ck45" else 0.5,
+              t_final=2.0, dealias=dealias, initial_state=start)
     assert np.array_equal(start.u, u) and np.array_equal(start.uhat, uhat)
 
 
@@ -500,38 +510,57 @@ def test_dealias_masks_reaction_contributions():
 
 def test_a_step_control_gives_the_same_run_twice():
     # the run keeps its own step proposal and counts; the control is only read
-    control = StepControl(dt=4.0, rel_tol=1e-5)
+    control = StepControl(rel_tol=1e-5)
     g = make_grid(64, 50.0, 1)
-    first = integrate("gray1d", g, scheme="ck45", t_final=5.0, control=control)
-    second = integrate("gray1d", g, scheme="ck45", t_final=5.0, control=control)
+    first = integrate("gray1d", g, scheme="ck45", dt=4.0, t_final=5.0, control=control)
+    second = integrate("gray1d", g, scheme="ck45", dt=4.0, t_final=5.0, control=control)
     assert first.accepted > 0 and first.rejected > 0
     assert second.dt_history == first.dt_history
     assert ((second.steps, second.accepted, second.rejected, second.reaction_evals)
             == (first.steps, first.accepted, first.rejected, first.reaction_evals))
     assert np.array_equal(second.final_state.u, first.final_state.u)
     assert np.array_equal(second.final_state.uhat, first.final_state.uhat)
-    assert control == StepControl(dt=4.0, rel_tol=1e-5)
+    assert control == StepControl(rel_tol=1e-5)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        control.dt = 0.5
+        control.rel_tol = 0.5
 
 
 def test_ck45_records_the_steps_it_takes():
     # at the rest state u = 1 the error estimate is 0, so every step is the
-    # largest allowed and the last is cut to land on t_final
+    # largest allowed, the first step dt among them, and the last is cut to
+    # land on t_final
     grid = make_grid(64, get_model("fisher1d").default_grid_args[1], 1)
     start = constant_state(grid, 1.0)
-    summary = integrate("fisher1d", grid, scheme="ck45", t_final=12.0,
-                        control=StepControl(dt=10.0, dt_max=5.0), initial_state=start)
+    summary = integrate("fisher1d", grid, scheme="ck45", dt=10.0, t_final=12.0,
+                        control=StepControl(dt_max=5.0), initial_state=start)
     assert summary.dt_history == [(5.0, 5.0), (10.0, 5.0), (12.0, 2.0)]
     assert sum(h for _, h in summary.dt_history) == summary.t_end - start.t
+
+
+def test_ck45_tries_dt_first():
+    # at u = 1 the first attempt is accepted, so it is the first step taken
+    grid = make_grid(64, 150.0, 1)
+    summary = integrate("fisher1d", grid, scheme="ck45", dt=0.05, t_final=1.0,
+                        initial_state=constant_state(grid, 1.0))
+    assert summary.dt_history[0] == (0.05, 0.05)
+
+
+def test_a_run_without_dt_steps_by_the_default_timestep():
+    g = make_grid(64, 50.0, 1)
+    assert integrate("gray1d", g, scheme="rk4", t_final=0.5).steps == 5  # dt 0.1
+    # a model's own default step (auto's is 0.02 for m >= 10) is ck45's first;
+    # pure diffusion accepts every step
+    spec = dataclasses.replace(pure_diffusion(), timestep_of=lambda p: 0.02)
+    summary = integrate(spec, g, scheme="ck45", t_final=1.0)
+    assert summary.dt_history[0] == (0.02, 0.02)
 
 
 def test_reaction_eval_totals():
     g = make_grid(64, 50.0, 1)
     fixed = integrate("gray1d", g, scheme="rk4", dt=0.1, t_final=1.0)
     assert fixed.reaction_evals == 4 * fixed.steps
-    adaptive = integrate("gray1d", g, scheme="ck45", t_final=1.0,
-                         control=StepControl(dt=0.1, rel_tol=1e-4))
+    adaptive = integrate("gray1d", g, scheme="ck45", dt=0.1, t_final=1.0,
+                         control=StepControl(rel_tol=1e-4))
     assert adaptive.reaction_evals == 6 * adaptive.steps
 
 
