@@ -103,13 +103,6 @@ class State:
         return self.u.shape[0]
 
 
-def _even_positive(n: int) -> int:
-    n = int(n)
-    if n <= 0 or n % 2 != 0:
-        raise ValueError(f"grid size must be a positive even integer, got {n}")
-    return n
-
-
 def _broken_bound(value: float, nonnegative: bool = False) -> str | None:
     """The bound a run setting breaks: "positive" (or "nonnegative") when
     it is not above (at least) zero, NaN included, "finite" when it is
@@ -119,33 +112,41 @@ def _broken_bound(value: float, nonnegative: bool = False) -> str | None:
     return "finite" if value == np.inf else None
 
 
+def _grid_problems(ns, ls) -> list[str]:
+    """Every problem with the per-axis sizes ``ns`` and half-widths ``ls``,
+    each once, read from the values as given: a size must be an even
+    integer >= 2 and a half-width positive and finite.  None stands for a
+    default and is not checked."""
+    problems = [f"n must be even and >= 2, got {m}"
+                for m in ns if m is not None and not (m >= 2 and m % 2 == 0)]
+    problems += [f"L must be {bound}, got {l}"
+                 for l in ls if l is not None and (bound := _broken_bound(l))]
+    return list(dict.fromkeys(problems))
+
+
 def _modes(n: int) -> np.ndarray:
     """Integer mode numbers in FFT storage order: 0, 1, ..., n/2, -n/2 + 1, ..., -1."""
     return np.concatenate([np.arange(0, n // 2 + 1), np.arange(-n // 2 + 1, 0)])
-
-
-def _axis_arrays(n: int, half_length: float) -> tuple[np.ndarray, np.ndarray]:
-    if bound := _broken_bound(half_length):
-        raise ValueError(f"half-width must be {bound}, got {half_length}")
-    coords = -half_length + (2.0 * half_length / n) * np.arange(n)
-    return coords, (np.pi / half_length) * _modes(n)
 
 
 def make_grid(n, half_length, dims: int = 1) -> GridSpec:
     """Build a GridSpec.
 
     ``n`` and ``half_length`` may be scalars (applied to every axis) or
-    per-axis sequences ordered x first.
+    per-axis sequences ordered x first.  Every size and half-width that
+    ``_grid_problems`` refuses is named in one ValueError.
     """
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
-    ns = tuple(_even_positive(m) for m in (n if np.iterable(n) else [n] * dims))
-    ls = tuple(float(l) for l in (half_length if np.iterable(half_length) else [half_length] * dims))
+    ns = tuple(n) if np.iterable(n) else (n,) * dims
+    ls = tuple(half_length) if np.iterable(half_length) else (half_length,) * dims
     if len(ns) != dims or len(ls) != dims:
         raise ValueError("per-axis n and half_length must match dims")
-    per_axis = [_axis_arrays(m, l) for m, l in zip(ns, ls)]
-    coords = tuple(c for c, _ in per_axis)
-    omega = tuple(w for _, w in per_axis)
+    if problems := _grid_problems(ns, ls):
+        raise ValueError("; ".join(problems))
+    ns, ls = tuple(int(m) for m in ns), tuple(float(l) for l in ls)
+    coords = tuple(-l + (2.0 * l / m) * np.arange(m) for m, l in zip(ns, ls))
+    omega = tuple((np.pi / l) * _modes(m) for m, l in zip(ns, ls))
     wx = omega[0][: ns[0] // 2 + 1]
     if dims == 1:
         omega_sq = wx ** 2

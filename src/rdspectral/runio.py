@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, State, _broken_bound, make_grid
+from .grid import GridSpec, State, _broken_bound, _grid_problems, make_grid
 from .models import MODELS, default_timestep, get_model
 from .steppers import SCHEMES, RunSummary, _run_problems
 __all__ = [
@@ -103,18 +103,12 @@ class RunConfig:
     params: dict = dc_field(default_factory=dict)
 
     def validate(self) -> list[str]:
-        """All problems with this config; empty if fine.  The settings a
-        run reads are checked as ``integrate`` checks them."""
-        problems = []
-        if self.model not in MODELS:
-            problems.append(
-                f"unknown model {self.model!r}; valid models: {', '.join(sorted(MODELS))}")
-        bad_n = self.n is not None and (self.n < 2 or self.n % 2)
-        if bad_n:
-            problems.append(f"n must be even and >= 2, got {self.n}")
-        bad_l = self.half_length is not None and _broken_bound(self.half_length)
-        if bad_l:
-            problems.append(f"L must be {bad_l}, got {self.half_length}")
+        """All problems with this config; empty if fine.  The grid and the
+        run are checked as ``make_grid`` and ``integrate`` check them; only
+        ``tol``, a required ``t_final`` and ``out`` are checked here."""
+        problems = _grid_problems([self.n], [self.half_length])
+        # no grid from an invalid n or L: ADI is then asked about the default one
+        grid = self.grid() if self.model in MODELS and not problems else None
         if self.rel_tol is not None and (bound := _broken_bound(self.rel_tol)):
             problems.append(f"tol must be {bound}, got {self.rel_tol}")
         if self.rel_tol is not None and self.scheme in SCHEMES and self.scheme != "ck45":
@@ -125,17 +119,10 @@ class RunConfig:
         if self.out and ("#" in self.out or self.out.strip().splitlines() != [self.out]):
             problems.append("out cannot hold '#', a line break or leading or "
                             f"trailing whitespace, got {self.out!r}")
-        spec = get_model(self.model) if self.model in MODELS else None
-        grid = None if spec is None or bad_n or bad_l else self.grid()  # None: the default
-        problems.extend(_run_problems(
-            self.scheme, spec, grid, dt=self.dt, t_final=self.t_final,
-            snap_every=self.snap_every, control=None, dealias=self.dealias))
-        if spec is not None and self.params:
-            try:
-                spec.params(self.params)
-            except ValueError as err:
-                problems.append(str(err))
-        return problems
+        return problems + _run_problems(
+            self.scheme, self.model, grid, dt=self.dt, t_final=self.t_final,
+            snap_every=self.snap_every, control=None, dealias=self.dealias,
+            params=self.params)
 
     def grid(self) -> GridSpec:
         """The concrete grid this config runs on."""

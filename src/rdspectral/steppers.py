@@ -374,14 +374,22 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
 SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b", "adi")
 
 
-def _run_problems(scheme: str, spec: ModelSpec | None, grid: GridSpec | None, *,
+def _run_problems(scheme: str, model: ModelSpec | str, grid: GridSpec | None, *,
                   dt: float | None, t_final: float | None, snap_every: float | None,
-                  control: StepControl | None, dealias: bool) -> list[str]:
+                  control: StepControl | None, dealias: bool,
+                  params: Mapping[str, float] | None = None,
+                  start: State | None = None) -> list[str]:
     """Every reason ``integrate`` refuses a run; empty when it can run it.
-    A setting left None is not checked, ``spec`` None (an unknown model)
-    skips the model checks, and ``grid`` None is the model's registered
-    grid.  Only ADI has limits of its own."""
+    ``model`` is a name or a ModelSpec; an unknown name is one problem and
+    skips the checks that need the model.  A setting left None is not
+    checked, and ``grid`` None is the model's registered grid.  ``start``
+    must be shaped for the model on the grid (ADI reads no uhat) and no
+    later than a valid t_final.  Only ADI has limits of its own."""
     problems = []
+    try:
+        spec = get_model(model) if isinstance(model, str) else model
+    except ValueError as err:
+        spec, problems = None, [str(err)]
     if scheme not in SCHEMES:
         problems.append(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
     for name, value, nonnegative in (("dt", dt, False), ("t_final", t_final, True)):
@@ -391,41 +399,44 @@ def _run_problems(scheme: str, spec: ModelSpec | None, grid: GridSpec | None, *,
         problems.append(f"snap_every must be positive, got {snap_every}")
     if control is not None and scheme in SCHEMES and scheme != "ck45":
         problems.append(f"a StepControl is read only by scheme ck45, not by {scheme}")
+    if spec is None:
+        return problems
+    try:
+        spec.params(params)
+    except ValueError as err:
+        problems.append(str(err))
+    if start is not None or scheme == "adi":
+        grid = grid if grid is not None else _default_grid(spec)
+    if start is not None:
+        expected = (spec.species, *grid.shape)
+        if start.u.shape != expected:
+            problems.append(f"initial state u has shape {start.u.shape}, expected {expected}")
+        expected = (spec.species, *grid.spectral_shape)
+        got = None if start.uhat is None else start.uhat.shape
+        if scheme != "adi" and got != expected:
+            problems.append(f"initial state uhat has shape {got}, expected {expected}")
+        # a t_final refused above is not refused again for the start time
+        if (t_final is not None and not _broken_bound(t_final, nonnegative=True)
+                and t_final < start.t):
+            problems.append(f"t_final must be at least the start time {start.t}, got {t_final}")
     if scheme != "adi":
         return problems
-    if spec is not None:
-        grid = grid if grid is not None else _default_grid(spec)
-        if grid.dims != 2:
-            why = "the ADI scheme is two-dimensional only"
-        elif grid.n[0] != grid.n[1] or grid.half_length[0] != grid.half_length[1]:
-            why = "the ADI scheme needs a square grid"
-        elif grid.n[0] < 4:
-            why = f"the ADI scheme needs n >= 4, got {grid.n[0]}"
-        elif spec.species != 1:
-            why = f"the ADI scheme handles single-species models, {spec.name} has {spec.species}"
-        else:
-            why = None
-        if why:
-            problems.append(f"scheme adi cannot run model {spec.name}: {why}")
+    if grid.dims != 2:
+        why = "the ADI scheme is two-dimensional only"
+    elif grid.n[0] != grid.n[1] or grid.half_length[0] != grid.half_length[1]:
+        why = "the ADI scheme needs a square grid"
+    elif grid.n[0] < 4:
+        why = f"the ADI scheme needs n >= 4, got {grid.n[0]}"
+    elif spec.species != 1:
+        why = f"the ADI scheme handles single-species models, {spec.name} has {spec.species}"
+    else:
+        why = None
+    if why:
+        problems.append(f"scheme adi cannot run model {spec.name}: {why}")
     if dealias:
         problems.append("scheme adi cannot dealias: it steps the reaction in physical "
                         "space, with no spectrum to mask")
     return problems
-
-
-def _check_start(state: State, species: int, grid: GridSpec, scheme: str,
-                 t_final: float) -> None:
-    """Refuse a start the run cannot step: fields not shaped for
-    ``species`` on ``grid`` (ADI reads no uhat), or a t_final before it."""
-    expected = (species, *grid.shape)
-    if state.u.shape != expected:
-        raise ValueError(f"initial state u has shape {state.u.shape}, expected {expected}")
-    expected = (species, *grid.spectral_shape)
-    got = None if state.uhat is None else state.uhat.shape
-    if scheme != "adi" and got != expected:
-        raise ValueError(f"initial state uhat has shape {got}, expected {expected}")
-    if t_final < state.t:
-        raise ValueError(f"t_final must be at least the start time {state.t}, got {t_final}")
 
 
 @dataclass
@@ -462,10 +473,11 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     which removes all aliasing only from a quadratic reaction; ``adi``
     rejects it.  ``sink`` is called with the initial state, at every
     crossing of the snapshot cadence, and with the final state.  Invalid
-    settings raise one ValueError naming every problem.  A start that is
-    not finite or exceeds the blow-up limit raises BlowUpError; one not
-    shaped for the model on the grid, or later than t_final, raises
-    ValueError before the first step.
+    settings (an unknown model, an unknown parameter, a step setting, an
+    ``initial_state`` not shaped for the model on the grid or later than
+    t_final) raise one ValueError naming every problem, before anything is
+    built.  A start that is not finite or exceeds the blow-up limit raises
+    BlowUpError.
 
     ADI steps the physical field and returns no uhat, so a step costs no
     transform: the loop transforms only to hand out a State, and hands
@@ -473,13 +485,14 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     transforming it again.  The seconds spent in its dense half-step
     algebra, the dominant per-step cost, become the run's dense_time.
     """
+    problems = _run_problems(scheme, model, grid, dt=dt, t_final=t_final,
+                             snap_every=snap_every, control=control, dealias=dealias,
+                             params=params, start=initial_state)
+    if problems:
+        raise ValueError("; ".join(problems))
     spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
         grid = _default_grid(spec)
-    problems = _run_problems(scheme, spec, grid, dt=dt, t_final=t_final,
-                             snap_every=snap_every, control=control, dealias=dealias)
-    if problems:
-        raise ValueError("; ".join(problems))
     dt = dt if dt is not None else default_timestep(spec, params)
     if scheme == "ck45":
         control = control or StepControl()
@@ -512,7 +525,6 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     # the one coefficient cache: per step size, dt and a shortened final step
     coefficients = {} if control is not None else {dt: build(dt)}
     state = initial_state if initial_state is not None else initial_condition(spec, grid, p)
-    _check_start(state, spec.species, grid, scheme, t_final)
 
     def as_state(y, t):
         u, U = y

@@ -127,10 +127,10 @@ def test_run_rejects_non_finite_inputs_and_writes_nothing(tmp_path, capsys, flag
 
 
 @pytest.mark.parametrize("flags, problem", [
-    (["--dt", "inf", "--t-final", "1"], "every --dt must be finite"),
-    (["--dt", "nan", "--dt", "0.1", "--t-final", "1"], "every --dt must be positive"),
-    (["--dt", "0.1", "--t-final", "inf"], "--t-final must be finite, got inf"),
-    (["--dt", "0.1", "--t-final", "nan"], "--t-final is required and must be nonnegative"),
+    (["--dt", "inf", "--t-final", "1"], "dt must be finite, got inf"),
+    (["--dt", "nan", "--dt", "0.1", "--t-final", "1"], "dt must be positive, got nan"),
+    (["--dt", "0.1", "--t-final", "inf"], "t_final must be finite, got inf"),
+    (["--dt", "0.1", "--t-final", "nan"], "t_final must be nonnegative, got nan"),
     (["--dt", "0.1", "--t-final", "1", "--gold-dt", "nan"], "--gold-dt must be positive, got nan"),
 ])
 def test_compare_rejects_non_finite_inputs(tmp_path, capsys, flags, problem):
@@ -282,6 +282,15 @@ def test_compare_writes_csv(tmp_path, capsys):
     assert f"written to {out}" in captured
 
 
+def test_compare_words_dt_and_t_final_problems_as_run_does(tmp_path, capsys):
+    flags = ["--model", "fisher1d", "--n", "64", "--dt", "nan", "--t-final", "nan"]
+    assert main(["compare", *flags, "--out", str(tmp_path / "cmp.csv")]) == 1
+    compare_err = capsys.readouterr().err
+    assert main(["run", *flags, "--out", str(tmp_path / "run")]) == 1
+    assert compare_err == capsys.readouterr().err == (
+        "error: dt must be positive, got nan\nerror: t_final must be nonnegative, got nan\n")
+
+
 def test_compare_validation(capsys):
     rc = main(["compare", "--model", "gray1d", "--scheme", "adi",
                "--dt", "0.1", "--t-final", "1"])
@@ -292,7 +301,7 @@ def test_compare_validation(capsys):
     assert "at least one --dt" in capsys.readouterr().err
     rc = main(["compare", "--model", "fisher1d", "--dt", "0.1"])
     assert rc == 1
-    assert "--t-final is required" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: t_final is required\n"
 
 
 def test_compare_lists_every_grid_and_gold_problem(tmp_path, capsys):

@@ -186,13 +186,28 @@ def test_dealias_mask_removes_aliased_product():
 
 
 @pytest.mark.parametrize("half_length, problem", [
-    (float("nan"), "half-width must be positive, got nan"),
-    (float("inf"), "half-width must be finite, got inf"),
+    (float("nan"), "L must be positive, got nan"),
+    (float("inf"), "L must be finite, got inf"),
 ])
 def test_grid_rejects_a_non_finite_half_width(half_length, problem):
     with pytest.raises(ValueError) as excinfo:
         make_grid(8, half_length, 1)
     assert str(excinfo.value) == problem
+
+
+@pytest.mark.parametrize("n", [8.5, float("nan"), 0])
+def test_grid_refuses_a_size_that_is_not_an_even_integer(n):
+    # the size is read as given, so 8.5 is not cut down to 8
+    with pytest.raises(ValueError) as excinfo:
+        make_grid(n, 1.0, 1)
+    assert str(excinfo.value) == f"n must be even and >= 2, got {n}"
+
+
+def test_grid_names_every_problem_once():
+    with pytest.raises(ValueError) as excinfo:
+        make_grid(9, float("nan"), 2)
+    assert str(excinfo.value) == "n must be even and >= 2, got 9; L must be positive, got nan"
+    assert make_grid(8.0, 1, 1).n == (8,)
 
 
 def test_grid_validation():

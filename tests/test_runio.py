@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdspectral.grid import make_grid
-from rdspectral.models import MODELS, get_model
+from rdspectral.models import MODELS
 from rdspectral.runio import (
     ConfigError,
     RunConfig,
@@ -164,18 +164,29 @@ def test_validate_reports_tol_with_a_fixed_step_scheme():
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("model", MODELS)
 def test_integrate_refuses_exactly_the_runs_validate_reports(model, scheme, dealias):
-    cfg = RunConfig(model=model, scheme=scheme, dealias=dealias, t_final=0.0)
+    _assert_integrate_refuses_what_validate_reports(
+        RunConfig(model=model, scheme=scheme, dealias=dealias, t_final=0.0))
+
+
+def test_integrate_refuses_adi_on_the_grid_validate_resolves():
+    _assert_integrate_refuses_what_validate_reports(
+        RunConfig(model="fisher2d", scheme="adi", n=2, half_length=5.0, t_final=0.0))
+
+
+def _assert_integrate_refuses_what_validate_reports(cfg):
+    """integrate, given the config's grid and step, refuses the run with
+    exactly the problems validate lists, or runs it when there are none."""
     problems = cfg.validate()
 
     def run():
-        integrate(get_model(model), cfg.grid(), scheme=scheme, dt=cfg.resolved_dt(),
-                  t_final=0.0, dealias=dealias)
+        integrate(cfg.model, cfg.grid(), scheme=cfg.scheme, dt=cfg.resolved_dt(),
+                  t_final=cfg.t_final, dealias=cfg.dealias)
     if not problems:
         run()
         return
     with pytest.raises(ValueError) as excinfo:
         run()
-    assert all(problem in str(excinfo.value) for problem in problems)
+    assert str(excinfo.value) == "; ".join(problems)
 
 
 def test_validate_checks_model_params():

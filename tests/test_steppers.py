@@ -343,6 +343,43 @@ def test_integrate_names_every_problem():
                                   "snap_every must be positive, got 0")
 
 
+def test_integrate_names_an_unknown_model_with_the_other_problems():
+    with pytest.raises(ValueError) as excinfo:
+        integrate("nope", scheme="euler", dt=-1, t_final=1)
+    assert str(excinfo.value) == (
+        "unknown model 'nope'; valid models: auto, epidemic, fisher1d, fisher2d, gray1d, "
+        "gray2d, labyrinthe2d; "
+        "unknown scheme 'euler'; valid schemes: rk4, ck45, etdrk4, etdrk4b, adi; "
+        "dt must be positive, got -1")
+
+
+def test_integrate_names_an_unknown_parameter_with_the_other_problems():
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", scheme="rk4", dt=-1, t_final=1, params={"bogus": 1.0})
+    assert str(excinfo.value) == ("dt must be positive, got -1; unknown parameter(s) "
+                                  "['bogus'] for model fisher1d; valid: ['delta']")
+
+
+def test_integrate_names_a_misshapen_start_with_the_other_problems():
+    start = initial_condition("fisher1d", make_grid(32, 50.0, 1))
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", make_grid(64, 50.0, 1), scheme="rk4", dt=-1, t_final=1,
+                  initial_state=start)
+    assert str(excinfo.value) == ("dt must be positive, got -1; "
+                                  "initial state u has shape (1, 32), expected (1, 64); "
+                                  "initial state uhat has shape (1, 17), expected (1, 33)")
+
+
+@pytest.mark.parametrize("t_final", [-1.0, np.nan])
+def test_a_refused_t_final_is_not_refused_again_for_the_start_time(t_final):
+    grid = make_grid(64, 50.0, 1)
+    start = dataclasses.replace(initial_condition("fisher1d", grid), t=2.0)
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", grid, scheme="rk4", dt=0.1, t_final=t_final,
+                  initial_state=start)
+    assert str(excinfo.value) == f"t_final must be nonnegative, got {t_final}"
+
+
 @pytest.mark.parametrize("scheme", ["rk4", "etdrk4", "etdrk4b", "adi"])
 def test_a_fixed_step_scheme_refuses_a_step_control(scheme):
     model, dims = ("fisher2d", 2) if scheme == "adi" else ("fisher1d", 1)
