@@ -18,7 +18,7 @@ import numpy as np
 from .grid import GridSpec, State
 from .models import ModelSpec, default_grid, get_model, initial_condition
 from .postprocess import max_abs_error
-from .steppers import BlowUpError, StepControl, StepSizeError, integrate
+from .steppers import BlowUpError, StepControl, StepSizeError, _run_problems, integrate
 
 __all__ = ["ConvergenceStudy", "convergence_study"]
 
@@ -78,15 +78,20 @@ def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
     against the gold run.  For ``ck45`` each dt is taken as the tolerance
     (rel_tol), and every run tries the model's default_timestep first.
 
-    A blow-up in the gold run propagates and aborts the study; a blow-up
-    or step failure in a member run records an infinite error and the
-    sweep continues.  Any other exception propagates.
+    Every run is checked first: one ValueError names every problem (a ck45
+    dt has a step's bounds).  A gold blow-up aborts the study; a member's
+    blow-up or step failure records an infinite error.  Others propagate.
     """
     spec = get_model(model) if isinstance(model, str) else model
     if grid is None:
         grid = default_grid(spec)
     schemes = tuple(schemes)
     dts = tuple(float(dt) for dt in dts)
+    runs = [(gold_scheme, gold_dt)] + [(scheme, dt) for scheme in schemes for dt in dts]
+    if problems := [p for scheme, dt in runs for p in _run_problems(
+            scheme, spec, grid, dt=dt, t_final=t_final, snap_every=None, control=None,
+            dealias=dealias, params=params)]:
+        raise ValueError("; ".join(dict.fromkeys(problems)))
     start = initial_condition(spec, grid, params)
 
     gold = _final_fields(spec, grid, gold_scheme, gold_dt, t_final,

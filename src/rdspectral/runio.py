@@ -4,20 +4,19 @@ A run directory is a self-describing bundle:
 
 * ``config.txt``     the flat key=value configuration that produced it
 * ``header.txt``     grid/species/payload description
-* ``snap_XXXXX.bin`` one snapshot per file: all species concatenated,
+* ``snapshots.bin``  every payload, in order: all species concatenated,
                      64-bit little-endian floats, row-major with x
                      fastest (exactly the in-memory layout)
-* ``snapshots.csv``  index, time, file name, CRC-32 of the payload
+* ``snapshots.csv``  index, time, byte offset in snapshots.bin, CRC-32
 * ``summary.txt``    step counts, costs, and exit status
 * ``spacetime_<s>.csv``  for 1D runs, one row per snapshot: t then the
                      profile of species s, each value as ``"%.17g"``
                      writes it
 
-``RunWriter`` writes ``header.txt``, ``config.txt`` and the header line of
-``snapshots.csv`` when it is made, then each payload and, after it, its
-index row as the snapshot arrives, so a run killed after k snapshots
-reads back k.  ``spacetime_<s>.csv`` and ``summary.txt`` are written by
-``finish``.
+``RunWriter`` writes ``header.txt``, ``config.txt`` and the index header
+when made and ``spacetime_<s>.csv`` and ``summary.txt`` in ``finish``.
+Each payload is flushed before its index row, so a run killed after k
+snapshots reads back k; bytes past the last indexed payload are ignored.
 
 Config values are plain text: ``key = value`` lines, ``#`` comments,
 ``param.<name>`` lines for model parameter overrides.  ``_SETTINGS`` is
@@ -107,8 +106,9 @@ class RunConfig:
         run are checked as ``make_grid`` and ``integrate`` check them; only
         ``tol``, a required ``t_final`` and ``out`` are checked here."""
         problems = _grid_problems([self.n], [self.half_length])
-        # no grid from an invalid n or L: ADI is then asked about the default one
-        grid = self.grid() if self.model in MODELS and not problems else None
+        # only ADI's checks read the grid, its default one when n or L is invalid
+        adi = self.scheme == "adi" and self.model in MODELS and not problems
+        grid = self.grid() if adi else None
         if self.rel_tol is not None and (bound := _broken_bound(self.rel_tol)):
             problems.append(f"tol must be {bound}, got {self.rel_tol}")
         if self.rel_tol is not None and self.scheme in SCHEMES and self.scheme != "ck45":
@@ -372,13 +372,13 @@ def _header_text(grid: GridSpec, model: str, species: int,
 
 
 class RunWriter:
-    """Snapshot sink for integrate()/adi_integrate().  Making it deletes
-    an older run's ``snap_*.bin``, ``spacetime_*.csv`` and ``summary.txt``
-    in ``out_dir`` (nothing else there), then writes ``header.txt``,
-    ``config.txt`` (deleting an older one when given no config) and the
-    header line of ``snapshots.csv``; each call
-    writes the payload and then appends its index row; ``finish`` writes
-    ``spacetime_<s>.csv`` (1D runs) and ``summary.txt``."""
+    """Snapshot sink for integrate()/adi_integrate().  Making it deletes an
+    older run's ``snap_*.bin`` (older rdspectral's payloads), ``spacetime_*.csv``
+    and ``summary.txt`` in ``out_dir`` (nothing else), writes ``header.txt``
+    and ``config.txt`` (deleting an older one when given no config), and
+    opens ``snapshots.bin`` and ``snapshots.csv`` afresh; both stay open until
+    ``finish`` closes them and writes ``spacetime_<s>.csv`` and ``summary.txt``.
+    Each call flushes its payload, then its index row: no snapshot waits for ``finish``."""
 
     def __init__(self, out_dir, grid: GridSpec, model: str, species: int,
                  config: RunConfig | None = None, snap_every: float | None = None):
@@ -388,29 +388,33 @@ class RunWriter:
             for stale in self.dir.glob(pattern):
                 stale.unlink()
         self.grid = grid
-        self.rows: list[tuple[int, float, str, int]] = []
+        self.rows: list[tuple[int, float, int, int]] = []
         self._profiles: list[tuple[float, np.ndarray]] = []  # 1D space-time matrix
         (self.dir / "header.txt").write_text(_header_text(grid, model, species, snap_every))
         if config is not None:
             (self.dir / "config.txt").write_text(config_to_text(config))
         else:  # an older run's config would describe another run
             (self.dir / "config.txt").unlink(missing_ok=True)
-        (self.dir / "snapshots.csv").write_text("index,time,file,crc32\n")
+        self._payloads = open(self.dir / "snapshots.bin", "wb")
+        self._index = open(self.dir / "snapshots.csv", "w")
+        print("index,time,offset,crc32", file=self._index, flush=True)
 
     def __call__(self, state: State) -> None:
         k = len(self.rows)
-        name = f"snap_{k:05d}.bin"
-        payload = np.ascontiguousarray(state.u, dtype="<f8").tobytes()
-        (self.dir / name).write_bytes(payload)
+        payload = np.ascontiguousarray(state.u, dtype="<f8")
         crc = zlib.crc32(payload)
-        with open(self.dir / "snapshots.csv", "a") as index:
-            index.write(f"{k},{state.t:.17g},{name},{crc}\n")
-        self.rows.append((k, state.t, name, crc))
+        offset = self._payloads.tell()
+        self._payloads.write(payload)
+        self._payloads.flush()   # the payload is on file before its row
+        print(f"{k},{state.t:.17g},{offset},{crc}", file=self._index, flush=True)
+        self.rows.append((k, state.t, offset, crc))
         if self.grid.dims == 1:
             self._profiles.append((state.t, np.array(state.u)))
 
     def finish(self, summary: RunSummary | None = None,
                status: str = "ok", detail: str = "") -> None:
+        self._payloads.close()
+        self._index.close()
         width = 1 + self.grid.n[0]
         step = max(1, _BLOCK_VALUES // width)
         for s in range(self._species_count()):
@@ -474,47 +478,48 @@ def read_header(run_dir) -> dict:
         raise ValueError(f"{path}: {err}") from None
 
 
-def read_index(run_dir) -> list[tuple[int, float, str, int]]:
-    """Rows of snapshots.csv as (index, t, file name, CRC-32); a malformed
-    row raises ValueError naming the file, the line and its text."""
+def read_index(run_dir) -> list[tuple[int, float, int, int]]:
+    """Rows of snapshots.csv as (index, t, offset in snapshots.bin, CRC-32).
+    A malformed row raises ValueError naming the file, the line and its
+    text; an older rdspectral's index, of one file per snapshot, asks for a re-run."""
     path = Path(run_dir) / "snapshots.csv"
+    lines = path.read_text().splitlines()
+    if lines[:1] == ["index,time,file,crc32"]:
+        raise ValueError(f"{run_dir} holds one file per snapshot (older rdspectral); run it again")
     rows = []
-    for number, line in enumerate(path.read_text().splitlines()[1:], start=2):
+    for number, line in enumerate(lines[1:], start=2):
         try:
-            k, t, name, crc = line.split(",")
-            rows.append((int(k), float(t), name, int(crc)))
+            k, t, offset, crc = line.split(",")
+            rows.append((int(k), float(t), int(offset), int(crc)))
         except ValueError:
             raise ValueError(f"{path} line {number} is not an index row: {line!r}") from None
     return rows
 
 
-def _fields_shape(run_dir: Path) -> tuple[int, ...]:
+def _read_payloads(run_dir: Path, rows):
+    """Yield (t, fields) of each index row, read at its offset in snapshots.bin."""
     header = read_header(run_dir)
-    return (header["species"],) + tuple(reversed(header["n"]))
-
-
-def _read_fields(run_dir: Path, name: str, crc: int, shape) -> np.ndarray:
-    payload = (run_dir / name).read_bytes()
-    if zlib.crc32(payload) != crc:
-        raise ValueError(f"checksum mismatch for {name} in {run_dir}")
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(float)
+    shape = (header["species"],) + tuple(reversed(header["n"]))
+    with open(run_dir / "snapshots.bin", "rb") as payloads:
+        for k, t, offset, crc in rows:
+            fields = np.empty(shape, dtype="<f8")
+            payloads.seek(offset)
+            if payloads.readinto(fields) < fields.nbytes:
+                raise ValueError(f"{run_dir / 'snapshots.bin'} ends inside snapshot {k}")
+            if zlib.crc32(fields) != crc:
+                raise ValueError(f"checksum mismatch for snapshot {k} in {run_dir}")
+            yield t, fields.astype(float, copy=False)
 
 
 def load_snapshot(run_dir, index: int) -> tuple[float, np.ndarray]:
     """One snapshot as (t, fields (S, *shape)); payload CRC is verified."""
-    run_dir = Path(run_dir)
-    shape = _fields_shape(run_dir)
-    rows = {k: (t, name, crc) for k, t, name, crc in read_index(run_dir)}
+    rows = {row[0]: row for row in read_index(run_dir)}
     if index not in rows:
         raise ValueError(f"no snapshot {index} in {run_dir}")
-    t, name, crc = rows[index]
-    return t, _read_fields(run_dir, name, crc, shape)
+    return list(_read_payloads(Path(run_dir), [rows[index]]))[0]
 
 
 def iter_snapshots(run_dir):
-    """Yield (t, fields) for every indexed snapshot, in order, reading
-    the header and the index once; each payload's CRC is verified."""
-    run_dir = Path(run_dir)
-    shape = _fields_shape(run_dir)
-    for _, t, name, crc in read_index(run_dir):
-        yield t, _read_fields(run_dir, name, crc, shape)
+    """Yield (t, fields) for every indexed snapshot, in order, reading the
+    header and the index once; each payload's CRC is verified."""
+    return _read_payloads(Path(run_dir), read_index(run_dir))

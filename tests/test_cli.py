@@ -8,7 +8,7 @@ import pytest
 from rdspectral.cli import main
 from rdspectral.models import MODELS
 from rdspectral.runio import (RunConfig, iter_snapshots, load_config, load_snapshot,
-                              read_header)
+                              read_header, read_index)
 
 
 def test_list_models_prints_registry_order(capsys):
@@ -67,21 +67,23 @@ def test_run_writes_artifacts_and_reports(tmp_path, capsys):
 
 def test_reused_run_directory_holds_only_the_new_run(tmp_path, capsys):
     # an older gray1d run with 11 snapshots, then a fisher1d run with 3 in
-    # the same directory: no older snapshot or space-time file survives,
-    # and a file the runs did not write is left alone
+    # the same directory: no older snapshot, payload file of an older
+    # rdspectral or space-time file survives, and a file the runs did not
+    # write is left alone
     out = tmp_path / "reused"
     assert main(["run", "--model", "gray1d", "--n", "64", "--dt", "0.1",
                  "--t-final", "1", "--snap-every", "0.1", "--out", str(out)]) == 0
-    assert len(list(out.glob("snap_*.bin"))) == 11
+    assert len(read_index(out)) == 11
     assert (out / "spacetime_1.csv").exists()
     (out / "notes.txt").write_text("kept\n")
+    (out / "snap_00007.bin").write_bytes(bytes(1024))
     assert main(["run", "--model", "fisher1d", "--n", "64", "--dt", "0.1",
                  "--t-final", "0.2", "--snap-every", "0.1", "--out", str(out)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in out.iterdir()) == [
-        "config.txt", "header.txt", "notes.txt",
-        "snap_00000.bin", "snap_00001.bin", "snap_00002.bin",
-        "snapshots.csv", "spacetime_0.csv", "summary.txt"]
+        "config.txt", "header.txt", "notes.txt", "snapshots.bin", "snapshots.csv",
+        "spacetime_0.csv", "summary.txt"]
+    assert (out / "snapshots.bin").stat().st_size == 3 * 64 * 8
     assert (out / "notes.txt").read_text() == "kept\n"
     assert read_header(out)["model"] == "fisher1d"
     assert "model = fisher1d" in (out / "summary.txt").read_text()
@@ -423,8 +425,23 @@ def _upsample_error(run_dir, capsys) -> str:
 
 
 def test_upsample_of_a_deleted_snapshot_exits_one(run_2d, capsys):
-    (run_2d / "snap_00002.bin").unlink()
-    assert "snap_00002.bin" in _upsample_error(run_2d, capsys)
+    # snapshots.bin cut inside snapshot 2, the one upsample reads by default
+    with open(run_2d / "snapshots.bin", "r+b") as payloads:
+        payloads.truncate(read_index(run_2d)[2][2] + 100)
+    err = _upsample_error(run_2d, capsys)
+    assert "snapshots.bin ends inside snapshot 2" in err
+
+
+def test_an_older_one_file_per_snapshot_directory_asks_for_a_rerun(run_2d, capsys):
+    # the index an older rdspectral wrote, naming one snap_XXXXX.bin per snapshot
+    index = run_2d / "snapshots.csv"
+    rows = [line.split(",") for line in index.read_text().splitlines()[1:]]
+    index.write_text("index,time,file,crc32\n" + "".join(
+        f"{k},{t},snap_{int(k):05d}.bin,{crc}\n" for k, t, _, crc in rows))
+    message = "one file per snapshot (older rdspectral); run it again"
+    assert message in _upsample_error(run_2d, capsys)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        list(iter_snapshots(run_2d))
 
 
 def test_upsample_of_a_header_without_species_exits_one(run_2d, capsys):

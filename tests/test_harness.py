@@ -86,6 +86,22 @@ def test_gold_blowup_aborts_study():
                           gold_scheme="rk4", gold_dt=50.0)
 
 
+def test_study_names_every_run_problem_before_any_run(monkeypatch):
+    # an unknown scheme, an unknown parameter and a ck45 tolerance that is
+    # not positive, all named before the gold run starts
+    from rdspectral import harness
+    calls = []
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError) as err:
+        convergence_study("fisher1d", schemes=["euler", "ck45"], dts=[0.1, -1.0],
+                          t_final=5, params={"bogus": 1.0})
+    message = str(err.value)
+    assert "unknown scheme 'euler'" in message
+    assert "unknown parameter(s) ['bogus']" in message
+    assert "dt must be positive, got -1.0" in message
+    assert calls == []
+
+
 def test_study_dispatches_adi_and_ck45():
     grid = make_grid(32, 25.0, 2)
     study = convergence_study("fisher2d", schemes=("adi", "rk4"), dts=(0.2,),

@@ -122,6 +122,15 @@ def test_validate_adi_checks_the_configured_grid():
         "n must be even and >= 2, got 3"]
 
 
+def test_validate_builds_no_grid_for_a_spectral_scheme(monkeypatch):
+    # only ADI's run checks read the grid
+    def no_grid(self):
+        raise AssertionError("validate built a grid")
+    monkeypatch.setattr(RunConfig, "grid", no_grid)
+    for scheme in ("rk4", "ck45", "etdrk4", "etdrk4b"):
+        assert RunConfig(model="gray2d", scheme=scheme, n=64, t_final=1.0).validate() == []
+
+
 @pytest.mark.parametrize("out", ["runs/#3", "a\nscheme = ck45", "a\rb", " runs/x",
                                  "runs/x ", "runs/x\n"])
 def test_validate_rejects_an_out_config_txt_cannot_hold(out):
@@ -223,10 +232,22 @@ def test_run_directory_inventory(tmp_path):
     cfg = RunConfig(model="fisher1d", dt=0.05, t_final=0.5, snap_every=0.1)
     _small_run(tmp_path / "run", config=cfg)
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
-    assert names == ["config.txt", "header.txt",
-                     "snap_00000.bin", "snap_00001.bin", "snap_00002.bin",
-                     "snap_00003.bin", "snap_00004.bin", "snap_00005.bin",
-                     "snapshots.csv", "spacetime_0.csv", "summary.txt"]
+    assert names == ["config.txt", "header.txt", "snapshots.bin", "snapshots.csv",
+                     "spacetime_0.csv", "summary.txt"]
+    # six (1, 64) float64 payloads, one after the other, at the offsets the index gives
+    assert (tmp_path / "run" / "snapshots.bin").stat().st_size == 6 * 64 * 8
+    assert [offset for _, _, offset, _ in read_index(tmp_path / "run")] == [
+        k * 64 * 8 for k in range(6)]
+
+
+def test_run_directory_files_do_not_grow_with_the_snapshot_count(tmp_path):
+    grid = make_grid(64, 20.0, 1)
+    for name, snap_every, t_final in (("six", 0.1, 0.5), ("sixty", 0.01, 0.59)):
+        writer = RunWriter(tmp_path / name, grid, "fisher1d", 1, snap_every=snap_every)
+        writer.finish(integrate("fisher1d", grid, scheme="rk4", dt=0.01, t_final=t_final,
+                                snap_every=snap_every, sink=writer))
+    assert [len(read_index(tmp_path / name)) for name in ("six", "sixty")] == [6, 60]
+    assert len(list((tmp_path / "six").iterdir())) == len(list((tmp_path / "sixty").iterdir()))
 
 
 def test_header_round_trips(tmp_path):
@@ -283,19 +304,19 @@ def test_runs_are_bitwise_deterministic(tmp_path):
     cfg = RunConfig(model="fisher1d", dt=0.05, t_final=0.5, snap_every=0.1)
     _small_run(tmp_path / "a", config=cfg)
     _small_run(tmp_path / "b", config=cfg)
-    for name in (["snapshots.csv", "spacetime_0.csv", "header.txt", "config.txt"]
-                 + [f"snap_{k:05d}.bin" for k in range(6)]):
+    for name in ["snapshots.csv", "snapshots.bin", "spacetime_0.csv", "header.txt",
+                 "config.txt"]:
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_corrupted_payload_is_detected(tmp_path):
     _small_run(tmp_path)
-    target = tmp_path / "snap_00002.bin"
+    target = tmp_path / "snapshots.bin"
     payload = bytearray(target.read_bytes())
-    payload[17] ^= 0xFF
+    payload[read_index(tmp_path)[2][2] + 17] ^= 0xFF
     target.write_bytes(bytes(payload))
-    with pytest.raises(ValueError, match="checksum mismatch"):
+    with pytest.raises(ValueError, match="checksum mismatch for snapshot 2 in"):
         load_snapshot(tmp_path, 2)
     load_snapshot(tmp_path, 1)  # neighbors unaffected
     with pytest.raises(ValueError, match="no snapshot 99"):
@@ -313,12 +334,39 @@ def test_iter_snapshots_reads_the_index_once(tmp_path, monkeypatch):
     for k, (t, fields) in enumerate(loaded):
         t_k, fields_k = load_snapshot(tmp_path, k)
         assert t == t_k and np.array_equal(fields, fields_k)
-    target = tmp_path / "snap_00001.bin"
+    target = tmp_path / "snapshots.bin"
     payload = bytearray(target.read_bytes())
-    payload[9] ^= 0x01
+    payload[read_index(tmp_path)[1][2] + 9] ^= 0x01
     target.write_bytes(bytes(payload))
-    with pytest.raises(ValueError, match="checksum mismatch for snap_00001.bin"):
+    with pytest.raises(ValueError, match="checksum mismatch for snapshot 1 in"):
         list(iter_snapshots(tmp_path))
+
+
+def test_bytes_past_the_last_indexed_payload_are_ignored(tmp_path):
+    # what a run killed between a payload and its index row leaves behind
+    _small_run(tmp_path)
+    written = list(iter_snapshots(tmp_path))
+    target = tmp_path / "snapshots.bin"
+    assert target.stat().st_size == 6 * 64 * 8
+    with open(target, "ab") as payloads:
+        payloads.write(b"\x01" * 700)
+    for (t, fields), (t_after, fields_after) in zip(written, iter_snapshots(tmp_path),
+                                                     strict=True):
+        assert t == t_after and np.array_equal(fields, fields_after)
+    t, fields = load_snapshot(tmp_path, 5)
+    assert t == written[5][0] and np.array_equal(fields, written[5][1])
+
+
+def test_a_payload_cut_short_is_named(tmp_path):
+    _small_run(tmp_path)
+    with open(tmp_path / "snapshots.bin", "r+b") as payloads:
+        payloads.truncate(3 * 64 * 8 + 100)
+    message = r"snapshots\.bin ends inside snapshot 3"
+    with pytest.raises(ValueError, match=message):
+        list(iter_snapshots(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        load_snapshot(tmp_path, 3)
+    load_snapshot(tmp_path, 2)  # the payloads before it are whole
 
 
 def test_spacetime_csv_bytes_match_per_value_formatting(tmp_path):
@@ -353,14 +401,15 @@ def test_index_reads_back_every_snapshot_of_an_unfinished_run(tmp_path):
               snap_every=0.1, sink=sink)
     assert len(handed) == 3
     rows = read_index(tmp_path)
-    assert [(k, t, name) for k, t, name, _ in rows] == [
-        (k, t, f"snap_{k:05d}.bin") for k, (t, _) in enumerate(handed)]
+    assert [(k, t, offset) for k, t, offset, _ in rows] == [
+        (k, t, k * 64 * 8) for k, (t, _) in enumerate(handed)]
+    assert (tmp_path / "snapshots.bin").stat().st_size == 3 * 64 * 8
     loaded = list(iter_snapshots(tmp_path))
     assert len(loaded) == 3
     for (t, fields), (t_handed, u) in zip(loaded, handed):
         assert t == t_handed and np.array_equal(fields, u)
-    assert (tmp_path / "snapshots.csv").read_text() == "index,time,file,crc32\n" + "".join(
-        f"{k},{t:.17g},{name},{crc}\n" for k, t, name, crc in rows)
+    assert (tmp_path / "snapshots.csv").read_text() == "index,time,offset,crc32\n" + "".join(
+        f"{k},{t:.17g},{offset},{crc}\n" for k, t, offset, crc in rows)
 
 
 def test_writer_without_a_config_drops_an_older_runs_config(tmp_path):
