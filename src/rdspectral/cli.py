@@ -173,9 +173,14 @@ def _cmd_upsample(args) -> int:
     run_dir = Path(args.run_dir)
     try:
         header = read_header(run_dir)
-        rows = read_index(run_dir)
-    except (OSError, ValueError) as err:
+    except OSError as err:  # no header.txt to open
         return _fail([f"not a run directory: {err}"])
+    except ValueError as err:
+        return _fail([str(err)])
+    try:
+        rows = read_index(run_dir)
+    except (OSError, ValueError) as err:  # a damaged or older run directory
+        return _fail([str(err)])
     if not rows:
         return _fail(["run directory has no snapshots"])
     index = args.index if args.index is not None else rows[-1][0]

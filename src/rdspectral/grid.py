@@ -12,8 +12,14 @@ place on the ``rfft`` result so a 2D transform allocates one spectrum,
 not two.  The inverse runs ``ifft`` over y (in 2D), then ``irfft(n=nx)``
 over x, each carrying its 1/n factor, and returns a real field.  These
 are the one-axis calls ``rfftn``/``irfftn`` make, in the same order, so
-results are bit for bit theirs (the in-place ``fft`` included), without
+results are bit for bit theirs (the in-place calls included), without
 their per-call argument handling: a 1D transform is a single call.
+
+``forward`` and ``inverse_real`` return fresh arrays and leave their
+input as it was.  The stepper inverts through the private ``_inverse``,
+which writes the y-axis ``ifft`` into a scratch spectrum (the input
+itself, when the input is spent) and the real field into a buffer it is
+given, so a 2D stage allocates neither.
 """
 
 from __future__ import annotations
@@ -178,15 +184,25 @@ def forward(grid: GridSpec, field: np.ndarray) -> np.ndarray:
     return spectral
 
 
+def _inverse(grid: GridSpec, spectral: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """``inverse_real`` unchecked, into given arrays: the y-axis ``ifft``
+    (2D only) goes into ``scratch``, which may be ``spectral`` itself and
+    is then consumed, and the real field into ``out``; None stands for a
+    fresh array.  Returns the real field."""
+    if grid.dims == 2:
+        spectral = np.fft.ifft(spectral, axis=-2, out=scratch)
+    return np.fft.irfft(spectral, n=grid.n[0], out=out)
+
+
 def inverse_real(grid: GridSpec, spectral: np.ndarray) -> np.ndarray:
-    """Normalized inverse of ``forward``: the real field of a half spectrum."""
+    """Normalized inverse of ``forward``: the real field of a half spectrum.
+    The result is a fresh array, and ``spectral`` is left as it was."""
     spectral = np.asarray(spectral)
     if spectral.shape[-grid.dims:] != grid.spectral_shape:
         raise ValueError(f"spectrum shape {spectral.shape} does not end in grid "
                          f"spectral shape {grid.spectral_shape}")
-    if grid.dims == 2:
-        spectral = np.fft.ifft(spectral, axis=-2)
-    return np.fft.irfft(spectral, n=grid.n[0])
+    return _inverse(grid, spectral)
 
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:

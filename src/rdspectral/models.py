@@ -31,12 +31,15 @@ _DEFAULT_DT = 0.1  # default_timestep of a model that sets no timestep_of
 
 # -- kinetics: one rates(u, p) per system ----------------------------------
 # Run once per stage: species are indexed (unpacking iterates the array, at
-# three times the cost) and stacked in one np.array([...]); the association
-# order (e.g. u * (v * v)) is fixed so vector and scalar evaluations agree.
+# three times the cost), and the association order (e.g. u * (v * v)) is
+# fixed so vector and scalar evaluations agree.  Field-sized temporaries
+# cost more than their arithmetic on 2D grids, so the two-species kinetics
+# that run there fill one fresh output in place, through out[s, ...] views
+# (a 0-d field included); the 1D-only ones stack in one np.array([...]).
 
 def _fisher(u, p):
     """Logistic growth u(1 - u)."""
-    return np.array([u[0] * (1.0 - u[0])])
+    return u * (1.0 - u)
 
 
 def _epidemic(uv, p):
@@ -49,8 +52,16 @@ def _gray(uv, p):
     """Cubic autocatalysis with feed A = eps*a and decay B = eps^(1/3)*b."""
     u, v = uv[0], uv[1]
     A, B = p["eps"] * p["a"], p["eps"] ** (1.0 / 3.0) * p["b"]
-    uvv = u * (v * v)
-    return np.array([-uvv + A * (1.0 - u), uvv - B * v])
+    out = np.empty_like(uv, dtype=float)
+    ru, rv = out[0, ...], out[1, ...]
+    uvv = v * v
+    uvv *= u
+    np.subtract(1.0, u, out=ru)
+    ru *= A
+    ru -= uvv                   # -uvv + A (1 - u)
+    np.multiply(B, v, out=rv)
+    np.subtract(uvv, rv, out=rv)  # uvv - B v
+    return out
 
 
 def _auto(uv, p):
@@ -63,7 +74,17 @@ def _auto(uv, p):
 def _labyrinthine(uv, p):
     """FitzHugh-Nagumo type kinetics: u - u^3 - v and delta(u - a1 v - a0)."""
     u, v = uv[0], uv[1]
-    return np.array([u - u * (u * u) - v, p["delta"] * (u - p["a1"] * v - p["a0"])])
+    out = np.empty_like(uv, dtype=float)
+    ru, rv = out[0, ...], out[1, ...]
+    np.multiply(u, u, out=ru)
+    ru *= u
+    np.subtract(u, ru, out=ru)
+    ru -= v                     # u - u (u u) - v
+    np.multiply(p["a1"], v, out=rv)
+    np.subtract(u, rv, out=rv)
+    rv -= p["a0"]
+    rv *= p["delta"]            # delta (u - a1 v - a0)
+    return out
 
 
 def cubic_root_u_minus(a0: float, a1: float) -> float:

@@ -66,15 +66,21 @@ _EXP_CLAMP = 700.0           # cap on exp arguments; avoids inf * 0 = nan
 
 
 class BlowUpError(RuntimeError):
-    """A stage produced non-finite values or exceeded the amplitude limit."""
+    """A stage produced non-finite values or exceeded the amplitude limit.
+    ``species`` and ``index`` (a grid index in storage order, y first in
+    2D) locate the first value that failed, when known."""
 
-    def __init__(self, t: float, max_abs: float, detail: str = ""):
+    def __init__(self, t: float, max_abs: float, detail: str = "",
+                 species: int | None = None, index: tuple[int, ...] | None = None):
         self.t = t
         self.max_abs = max_abs
         self.detail = detail  # where it failed, e.g. "rk4 stage 3" or "adi step"
+        self.species, self.index = species, index
         msg = f"solution blew up at t={t:.6g} (max |u| = {max_abs:.3g})"
         if detail:
             msg += f" [{detail}]"
+        if species is not None:
+            msg += f" in species {species} at grid index {index}"
         super().__init__(msg)
 
 
@@ -83,12 +89,14 @@ class StepSizeError(RuntimeError):
 
 
 def _check_stage(u: np.ndarray, t: float, *where) -> None:
-    """Raise BlowUpError if u holds a non-finite value or one beyond
-    BLOWUP_LIMIT.  ``where`` names the stage; it is joined into the
-    detail text only on failure, as this runs at every stage."""
+    """Raise BlowUpError if u, stacked (species, *grid), holds a non-finite
+    value or one beyond BLOWUP_LIMIT.  ``where`` names the stage; it is
+    joined into the detail text, and the first failing value located, only
+    on failure, as this runs at every stage."""
     m = max(u.max(), -u.min())  # max |u| without a |u| temporary; nan if u holds one
     if not m <= BLOWUP_LIMIT:  # also true for nan
-        raise BlowUpError(t, float(m), " ".join(str(w) for w in where))
+        species, *index = (int(k) for k in np.argwhere(~(np.abs(u) <= BLOWUP_LIMIT))[0])
+        raise BlowUpError(t, float(m), " ".join(str(w) for w in where), species, tuple(index))
 
 
 # -- phi coefficient functions -------------------------------------------------
@@ -190,15 +198,21 @@ def _exp_rk_step(N, grid: GridSpec, u: np.ndarray, U: np.ndarray, t: float, dt: 
     evaluates A_j N_j as f2 * (f1 * N_j).  Every stage and output passes
     the blow-up check.  Returns the (u, U) pair of each output row.
 
-    One term array and one stage accumulator serve every row of the step:
-    a stage row's sum is spent once its inverse transform is taken.  Each
-    output row sums into a fresh array, as its pair becomes the new state,
-    which a sink may keep.  Neither u nor U is written.
+    A step allocates only the arrays it hands out, plus one term array,
+    one spectral accumulator ``work`` and one real stage buffer, which
+    serve every row.  A stage row sums into ``work``, inverts it in place
+    (it is spent once transformed) and writes its field into the stage
+    buffer, which the next stage overwrites: N must not keep its input.
+    Each output row sums into a fresh spectrum and inverts into a fresh
+    field, as the pair becomes the new state, which a sink may keep; its
+    y-axis ``ifft`` goes into ``work``, which output rows leave free.
+    Neither u nor U is written.
     """
     stages, outputs = tableau
     Ns, out = [N(u)], []
     # fresh spectrum-sized temporaries per row cost more than the arithmetic
     term, work = np.empty_like(U, dtype=complex), np.empty_like(U, dtype=complex)
+    stage_u = np.empty(u.shape)  # float64, as a fresh inverse is, whatever u holds
     for i, (E, terms) in enumerate(stages + outputs):
         acc = np.multiply(E, U, out=work) if i < len(stages) else E * U
         for j, f, *more in terms:
@@ -206,11 +220,12 @@ def _exp_rk_step(N, grid: GridSpec, u: np.ndarray, U: np.ndarray, t: float, dt: 
             for g in more:
                 term *= g
             acc += term
-        u_i = spectral.inverse_real(grid, acc)
         if i < len(stages):
+            u_i = spectral._inverse(grid, acc, out=stage_u, scratch=work)
             _check_stage(u_i, t, label, "stage", i + 2)
             Ns.append(N(u_i))
         else:
+            u_i = spectral._inverse(grid, acc, scratch=work)
             _check_stage(u_i, t + dt, label, "update")
             out.append((u_i, acc))
     return out
@@ -509,9 +524,9 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
             return diff.factors(h, d)
 
         def step(y, t, h, factors):
-            u = dense(y[0][0], factors)
+            u = dense(y[0][0], factors)[None]
             _check_stage(u, t + h, "adi step")
-            return u[None], None
+            return u, None
     else:
         reaction = _spectral_reaction(
             spec, grid, p, spectral.dealias_mask(grid) if dealias else None)
@@ -572,8 +587,8 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
                 while next_snap <= t + eps:
                     next_snap += snap_every
     except BlowUpError as exc:
-        raise BlowUpError(exc.t, exc.max_abs,
-                          f"model={spec.name} scheme={scheme}: {exc.detail}") from exc
+        raise BlowUpError(exc.t, exc.max_abs, f"model={spec.name} scheme={scheme}: {exc.detail}",
+                          exc.species, exc.index) from exc
 
     wall = time.perf_counter() - started
     if t > emitted.t:

@@ -444,6 +444,15 @@ def test_an_older_one_file_per_snapshot_directory_asks_for_a_rerun(run_2d, capsy
         list(iter_snapshots(run_2d))
 
 
+def test_upsample_names_an_older_directory_as_it_is(run_2d, capsys):
+    # a run directory that cannot be read is not called "not a run
+    # directory": only a header.txt that cannot be opened is
+    index = run_2d / "snapshots.csv"
+    index.write_text("index,time,file,crc32\n0,0,snap_00000.bin,0\n")
+    assert _upsample_error(run_2d, capsys) == (
+        f"error: {run_2d} holds one file per snapshot (older rdspectral); run it again")
+
+
 def test_upsample_of_a_header_without_species_exits_one(run_2d, capsys):
     header = run_2d / "header.txt"
     header.write_text("".join(line for line in header.read_text().splitlines(True)

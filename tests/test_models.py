@@ -77,6 +77,38 @@ def test_vectorized_reactions_match_scalar_loops_exactly():
         assert rv[i] == p["delta"] * (u[i] - p["a1"] * v[i] - p["a0"])
 
 
+# each model's kinetics as the one np.array([...]) expression it was first
+# written as, association order included
+STACKED_RATES = {
+    "fisher": lambda u, p: np.array([u[0] * (1.0 - u[0])]),
+    "epidemic": lambda u, p: np.array([u[0] * (u[1] - p["lam"]), -(u[0] * u[1])]),
+    "gray": lambda u, p: np.array([
+        -(u[0] * (u[1] * u[1])) + p["eps"] * p["a"] * (1.0 - u[0]),
+        u[0] * (u[1] * u[1]) - p["eps"] ** (1.0 / 3.0) * p["b"] * u[1]]),
+    "auto": lambda u, p: np.array([u[1] * np.maximum(u[0], 0.0) ** p["m"],
+                                   -(u[1] * np.maximum(u[0], 0.0) ** p["m"])]),
+    "labyrinthe": lambda u, p: np.array([
+        u[0] - u[0] * (u[0] * u[0]) - u[1],
+        p["delta"] * (u[0] - p["a1"] * u[1] - p["a0"])]),
+}
+
+
+@pytest.mark.parametrize("spec", MODELS.values(), ids=MODELS)
+def test_rates_write_a_fresh_output_and_keep_their_bits(spec):
+    # a stage hands rates a buffer the next stage overwrites: rates must
+    # neither write it nor return memory that shares it
+    stacked = next(f for key, f in STACKED_RATES.items() if spec.name.startswith(key))
+    p = spec.params()
+    u = np.random.default_rng(5).uniform(-0.5, 1.5, (spec.species, 16, 16))
+    before = u.copy()
+    rates = spec.rates(u, p)
+    assert np.array_equal(u, before)
+    assert not np.shares_memory(rates, u)
+    expected = stacked(u, p)
+    assert rates.dtype == expected.dtype and rates.shape == expected.shape
+    assert rates.tobytes() == expected.tobytes()
+
+
 def test_auto_reaction_clamps_negative_u():
     spec = get_model("auto")
     ru, rv = spec.rates(np.array([[-0.3, 0.0, 0.5], [1.0, 1.0, 1.0]]), spec.params({"m": 2.0}))

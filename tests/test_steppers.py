@@ -8,7 +8,7 @@ from rdspectral import adi
 from rdspectral import grid as spectral
 from rdspectral import steppers
 from rdspectral.grid import State, make_grid, state_from_physical
-from rdspectral.models import ModelSpec, get_model, initial_condition
+from rdspectral.models import MODELS, ModelSpec, get_model, initial_condition
 from rdspectral.runio import RunWriter
 from rdspectral.steppers import (BLOWUP_LIMIT, ERROR_FLOOR, BlowUpError,
                                  StepControl, StepSizeError, integrate, linear_symbol)
@@ -99,11 +99,12 @@ def test_fixed_step_costs(scheme, dims, monkeypatch):
     counting, nfev = counting_model(spec)
 
     calls = {"fwd": 0, "inv": 0}
-    real_fwd, real_inv = spectral.forward, spectral.inverse_real
+    real_fwd, real_inv = spectral.forward, spectral._inverse
     monkeypatch.setattr(spectral, "forward",
                         lambda g, f: calls.__setitem__("fwd", calls["fwd"] + 1) or real_fwd(g, f))
-    monkeypatch.setattr(spectral, "inverse_real",
-                        lambda g, f: calls.__setitem__("inv", calls["inv"] + 1) or real_inv(g, f))
+    # every inverse, inverse_real's included, runs through _inverse
+    monkeypatch.setattr(spectral, "_inverse", lambda g, f, **kw: calls.__setitem__(
+        "inv", calls["inv"] + 1) or real_inv(g, f, **kw))
     one_step(counting, grid, scheme, state, 0.1)
     assert nfev["rates"] == 4
     assert calls == {"fwd": 4, "inv": 4}
@@ -111,11 +112,12 @@ def test_fixed_step_costs(scheme, dims, monkeypatch):
 
 def test_ck45_attempt_costs(monkeypatch):
     calls = {"fwd": 0, "inv": 0}
-    real_fwd, real_inv = spectral.forward, spectral.inverse_real
+    real_fwd, real_inv = spectral.forward, spectral._inverse
     monkeypatch.setattr(spectral, "forward",
                         lambda g, f: calls.__setitem__("fwd", calls["fwd"] + 1) or real_fwd(g, f))
-    monkeypatch.setattr(spectral, "inverse_real",
-                        lambda g, f: calls.__setitem__("inv", calls["inv"] + 1) or real_inv(g, f))
+    # every inverse, inverse_real's included, runs through _inverse
+    monkeypatch.setattr(spectral, "_inverse", lambda g, f, **kw: calls.__setitem__(
+        "inv", calls["inv"] + 1) or real_inv(g, f, **kw))
     for model, grid in (("fisher1d", make_grid(32, 1.0, 1)), ("fisher2d", make_grid(16, 1.0, 2))):
         state = constant_state(grid, 0.2)
         control = StepControl(rel_tol=1e-4)
@@ -303,6 +305,26 @@ def test_check_stage_rejects_non_finite_and_over_limit(bad):
     assert "rk4 stage 3" in str(excinfo.value)
 
 
+def test_blow_up_names_the_species_and_grid_index_of_the_first_bad_value():
+    u = np.zeros((2, 8))
+    u[1, 3] = np.nan
+    with pytest.raises(BlowUpError) as excinfo:
+        steppers._check_stage(u, 1.5, "rk4", "stage", 3)
+    assert (excinfo.value.species, excinfo.value.index) == (1, (3,))
+    assert "species 1 at grid index (3,)" in str(excinfo.value)
+    # and integrate's re-raise keeps them, on a 2D grid in storage order
+    grid = make_grid(16, 25.0, 2)
+    start = initial_condition("gray2d", grid)
+    bad = start.u.copy()
+    bad[1, 2, 5] = 2.0 * BLOWUP_LIMIT
+    with pytest.raises(BlowUpError) as excinfo:
+        integrate("gray2d", grid, scheme="rk4", dt=0.1, t_final=0.1,
+                  initial_state=State(t=0.0, u=bad, uhat=start.uhat))
+    assert (excinfo.value.species, excinfo.value.index) == (1, (2, 5))
+    assert "initial state" in excinfo.value.detail
+    assert "species 1 at grid index (2, 5)" in str(excinfo.value)
+
+
 def test_check_stage_passes_the_limit_itself():
     u = np.zeros((2, 8))
     u[0, 0], u[1, 7] = BLOWUP_LIMIT, -BLOWUP_LIMIT
@@ -455,7 +477,10 @@ def test_tracer_patch_points_see_every_call(monkeypatch, tmp_path):
     # bench/tracing.py times each layer by rebinding these attributes, so the
     # package must call each one through them, or its traced metric reads 0
     calls = Counter()
-    for owner, name in ((spectral, "forward"), (spectral, "inverse_real"),
+    # the inverse layer's patch point is grid._inverse, which every inverse
+    # reaches; bench/tracing.py still patches inverse_real, and must patch
+    # _inverse at its next change
+    for owner, name in ((spectral, "forward"), (spectral, "_inverse"),
                         (steppers, "linear_symbol"), (steppers, "_build_tables"),
                         (adi, "build_diff_matrix"), (adi.DiffMatrix, "factors"),
                         (adi, "adi_step"), (RunWriter, "__call__"), (RunWriter, "finish")):
@@ -481,7 +506,7 @@ def test_tracer_patch_points_see_every_call(monkeypatch, tmp_path):
     # four reaction transforms and four inverse transforms a step, one more
     # forward transform for the initial state; snapshots at 0, 0.5, 1 and 1.05
     assert calls == {"_build_tables": 2, "linear_symbol": 1, "forward": 45,
-                     "inverse_real": 44, "__call__": 4, "finish": 1}
+                     "_inverse": 44, "__call__": 4, "finish": 1}
 
 
 # -- arrays the run hands out, and the arrays it is given ---------------------------
@@ -599,6 +624,89 @@ def test_reaction_eval_totals():
     adaptive = integrate("gray1d", g, scheme="ck45", dt=0.1, t_final=1.0,
                          control=StepControl(rel_tol=1e-4))
     assert adaptive.reaction_evals == 6 * adaptive.steps
+
+
+# -- the stage loop against a plain loop of fresh arrays ---------------------------
+
+def reference_step(N, grid, u, U, tableau):
+    """The (u, U) pair of each output row of one step, summed into fresh
+    arrays in the stage loop's order and transformed by the public calls."""
+    stages, outputs = tableau
+    Ns, out = [N(u)], []
+    for i, (E, terms) in enumerate(stages + outputs):
+        acc = E * U
+        for j, f, *more in terms:
+            term = f * Ns[j]
+            for g in more:
+                term = term * g
+            acc = acc + term
+        u_i = spectral.inverse_real(grid, acc)
+        if i < len(stages):
+            Ns.append(N(u_i))
+        else:
+            out.append((u_i, acc))
+    return out
+
+
+def reference_setting(name, dims, dealias):
+    """(spec, grid, symbol, N, start): the model on a small grid from a
+    seeded start, with N(v) = mask * FFT(rates(v)) as a fresh array,
+    counting its calls in N.calls."""
+    spec = get_model(name)
+    grid = make_grid(64, 20.0, 1) if dims == 1 else make_grid(16, 20.0, 2)
+    p = spec.params()
+    mask = spectral.dealias_mask(grid) if dealias else None
+
+    def N(v):
+        N.calls += 1
+        Nv = spectral.forward(grid, spec.rates(v, p))
+        return Nv * mask if mask is not None else Nv
+    N.calls = 0
+    rng = np.random.default_rng(3)
+    start = state_from_physical(grid, rng.uniform(0.1, 0.9, (spec.species, *grid.shape)))
+    return spec, grid, linear_symbol(grid, spec.diffusivities_of(p)), N, start
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("scheme", ["rk4", "etdrk4", "etdrk4b"])
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("name", MODELS)
+def test_integrate_equals_a_loop_of_fresh_arrays_bit_for_bit(name, dims, scheme, dealias):
+    # the stage loop inverts in place into step buffers; none of that may
+    # move a bit against fresh arrays and the public transforms
+    spec, grid, symbol, N, start = reference_setting(name, dims, dealias)
+    dt, steps = 0.1, 8
+    tableau = steppers._build_tables(scheme, symbol, dt)
+    u, U = start.u, start.uhat
+    for _ in range(steps):
+        ((u, U),) = reference_step(N, grid, u, U, tableau)
+    summary = integrate(spec, grid, scheme=scheme, dt=dt, t_final=steps * dt,
+                        dealias=dealias, initial_state=start)
+    assert summary.accepted == steps
+    assert same_bits(summary.final_state.u, u) and same_bits(summary.final_state.uhat, U)
+    assert summary.reaction_evals == N.calls == 4 * steps
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("name", MODELS)
+def test_a_ck45_attempt_equals_a_loop_of_fresh_arrays_bit_for_bit(name, dims, dealias):
+    spec, grid, symbol, N, start = reference_setting(name, dims, dealias)
+    dt = 0.1
+    tableau = steppers._build_tables("ck45", symbol, dt)
+
+    def k(v):  # the rate dt N(v), as the attempt scales it
+        return N(v) * dt
+    want = reference_step(k, grid, start.u, start.uhat, tableau)
+    assert N.calls == 6
+    got = steppers._exp_rk_step(k, grid, start.u, start.uhat, start.t, dt, tableau, "ck45")
+    assert N.calls == 12 and len(got) == len(want) == 2
+    for (u, U), (u_want, U_want) in zip(got, want):
+        assert same_bits(u, u_want) and same_bits(U, U_want)
 
 
 # -- the half-spectrum layout and the tables each scheme builds -------------------
