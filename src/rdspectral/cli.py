@@ -93,21 +93,24 @@ def _cmd_run(args) -> int:
     spec = get_model(cfg.model)
     grid = cfg.grid()
     out = Path(cfg.out) if cfg.out else Path("runs") / cfg.model
-    writer = RunWriter(out, grid, cfg.model, spec.species,
-                       config=cfg, snap_every=cfg.snap_every)
     control = None if cfg.rel_tol is None else StepControl(rel_tol=cfg.rel_tol)
     try:
-        summary = integrate(spec, grid, scheme=cfg.scheme, t_final=cfg.t_final,
-                            dt=cfg.dt, control=control, params=cfg.params,
-                            dealias=cfg.dealias, snap_every=cfg.snap_every, sink=writer)
-    except (BlowUpError, StepSizeError) as err:
-        status = "blowup" if isinstance(err, BlowUpError) else "stepfail"
-        writer.finish(None, status=status, detail=str(err))
-        print(f"error: integration aborted: {err}", file=sys.stderr)
-        print(f"partial artifacts in {out}", file=sys.stderr)
-        return 2
-    writer.finish(summary)
-    print(f"{cfg.model} [{cfg.scheme}] -> {out}: {len(writer.rows)} snapshots, "
+        writer = RunWriter(out, grid, cfg.model, spec.species,
+                           config=cfg, snap_every=cfg.snap_every)
+        try:
+            summary = integrate(spec, grid, scheme=cfg.scheme, t_final=cfg.t_final, dt=cfg.dt,
+                                control=control, params=cfg.params, dealias=cfg.dealias,
+                                snap_every=cfg.snap_every, sink=writer)
+        except (BlowUpError, StepSizeError) as err:
+            status = "blowup" if isinstance(err, BlowUpError) else "stepfail"
+            writer.finish(None, status=status, detail=str(err))
+            print(f"error: integration aborted: {err}", file=sys.stderr)
+            print(f"partial artifacts in {out}", file=sys.stderr)
+            return 2
+        writer.finish(summary)
+    except OSError as err:
+        return _fail([f"cannot write {out}: {err.strerror or err}"])
+    print(f"{cfg.model} [{cfg.scheme}] -> {out}: {writer.snapshots} snapshots, "
           f"{summary.steps} steps ({summary.accepted} accepted, "
           f"{summary.rejected} rejected), t_end = {summary.t_end:g}, "
           f"wall = {summary.wall_time:.3g} s")
@@ -143,10 +146,13 @@ def _cmd_compare(args) -> int:
         print(f"error: gold run aborted, study cancelled: {err}", file=sys.stderr)
         return 2
     csv = study.to_csv()
-    out = Path(args.out) if args.out else Path(f"compare_{args.model}.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(csv)
     sys.stdout.write(csv)
+    out = Path(args.out) if args.out else Path(f"compare_{args.model}.csv")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(csv)
+    except OSError as err:
+        return _fail([f"cannot write {out}: {err.strerror or err}"])
     print(f"written to {out}")
     return 0
 
@@ -201,10 +207,13 @@ def _cmd_upsample(args) -> int:
         up = np.stack([fourier_upsample_2d(f, nx, ny) for f in fields])
     out = run_dir / ("up" + "x".join(str(v) for v in sizes))
     grid = make_grid(sizes, header["L"], header["dims"])
-    writer = RunWriter(out, grid, header["model"], header["species"])
-    writer(state_from_physical(grid, list(up), t=t))
-    writer.finish(None, status="ok",
-                  detail=f"snapshot {index} of {run_dir} upsampled to {sizes}")
+    try:
+        writer = RunWriter(out, grid, header["model"], header["species"])
+        writer(state_from_physical(grid, list(up), t=t))
+        writer.finish(None, status="ok",
+                      detail=f"snapshot {index} of {run_dir} upsampled to {sizes}")
+    except OSError as err:
+        return _fail([f"cannot write {out}: {err.strerror or err}"])
     print(f"upsampled snapshot {index} ({header['n']} -> {sizes}) -> {out}")
     return 0
 

@@ -13,10 +13,10 @@ A run directory is a self-describing bundle:
                      profile of species s, each value as ``"%.17g"``
                      writes it
 
-``RunWriter`` writes ``header.txt``, ``config.txt`` and the index header
-when made and ``spacetime_<s>.csv`` and ``summary.txt`` in ``finish``.
-Each payload is flushed before its index row, so a run killed after k
-snapshots reads back k; bytes past the last indexed payload are ignored.
+``RunWriter`` writes ``header.txt``, ``config.txt`` and the index header when
+made, each snapshot's payload, space-time rows and index row, in that order,
+as it arrives, and ``summary.txt`` in ``finish``: a run killed after k snapshots
+keeps k of each.  Bytes past the last indexed payload are ignored.
 
 Config values are plain text: ``key = value`` lines, ``#`` comments,
 ``param.<name>`` lines for model parameter overrides.  ``_SETTINGS`` is
@@ -219,7 +219,6 @@ def config_to_text(config: RunConfig) -> str:
 
 _E_MIN, _E_MAX = -284, 291      # exponents of the window, 291 after a carry
 _TIE = 2.0 ** -30
-_BLOCK_VALUES = 1 << 16         # values per block in finish: bounds its temporaries
 
 
 def _pow10(k: int) -> tuple[float, float]:
@@ -375,10 +374,11 @@ class RunWriter:
     """Snapshot sink for integrate()/adi_integrate().  Making it deletes an
     older run's ``snap_*.bin`` (older rdspectral's payloads), ``spacetime_*.csv``
     and ``summary.txt`` in ``out_dir`` (nothing else), writes ``header.txt``
-    and ``config.txt`` (deleting an older one when given no config), and
-    opens ``snapshots.bin`` and ``snapshots.csv`` afresh; both stay open until
-    ``finish`` closes them and writes ``spacetime_<s>.csv`` and ``summary.txt``.
-    Each call flushes its payload, then its index row: no snapshot waits for ``finish``."""
+    and ``config.txt`` (deleting an older one when given no config), and opens
+    ``snapshots.bin``, ``snapshots.csv`` and, in 1D, one ``spacetime_<s>.csv`` a
+    species afresh, until ``finish`` closes them and writes ``summary.txt``.  A
+    call refuses fields not ``(species, *grid.shape)``, then flushes the payload,
+    the rows and the index row, so a killed run keeps each snapshot it indexed."""
 
     def __init__(self, out_dir, grid: GridSpec, model: str, species: int,
                  config: RunConfig | None = None, snap_every: float | None = None):
@@ -387,44 +387,37 @@ class RunWriter:
         for pattern in ("snap_*.bin", "spacetime_*.csv", "summary.txt"):
             for stale in self.dir.glob(pattern):
                 stale.unlink()
-        self.grid = grid
-        self.rows: list[tuple[int, float, int, int]] = []
-        self._profiles: list[tuple[float, np.ndarray]] = []  # 1D space-time matrix
+        self._shape = (species, *grid.shape)
+        self.snapshots = 0
         (self.dir / "header.txt").write_text(_header_text(grid, model, species, snap_every))
         if config is not None:
             (self.dir / "config.txt").write_text(config_to_text(config))
         else:  # an older run's config would describe another run
             (self.dir / "config.txt").unlink(missing_ok=True)
         self._payloads = open(self.dir / "snapshots.bin", "wb")
+        self._spacetime = [open(self.dir / f"spacetime_{s}.csv", "wb")
+                           for s in (range(species) if grid.dims == 1 else ())]
         self._index = open(self.dir / "snapshots.csv", "w")
         print("index,time,offset,crc32", file=self._index, flush=True)
 
     def __call__(self, state: State) -> None:
-        k = len(self.rows)
+        if state.u.shape != self._shape:
+            raise ValueError(f"fields of shape {state.u.shape}, not the run's {self._shape}")
         payload = np.ascontiguousarray(state.u, dtype="<f8")
         crc = zlib.crc32(payload)
         offset = self._payloads.tell()
         self._payloads.write(payload)
-        self._payloads.flush()   # the payload is on file before its row
-        print(f"{k},{state.t:.17g},{offset},{crc}", file=self._index, flush=True)
-        self.rows.append((k, state.t, offset, crc))
-        if self.grid.dims == 1:
-            self._profiles.append((state.t, np.array(state.u)))
+        self._payloads.flush()   # the payload and the rows are on file before the index row
+        for profile, out in zip(state.u, self._spacetime):
+            out.write(_format_rows(np.concatenate(([state.t], profile))[np.newaxis]))
+            out.flush()
+        print(f"{self.snapshots},{state.t:.17g},{offset},{crc}", file=self._index, flush=True)
+        self.snapshots += 1
 
     def finish(self, summary: RunSummary | None = None,
                status: str = "ok", detail: str = "") -> None:
-        self._payloads.close()
-        self._index.close()
-        width = 1 + self.grid.n[0]
-        step = max(1, _BLOCK_VALUES // width)
-        for s in range(self._species_count()):
-            with open(self.dir / f"spacetime_{s}.csv", "wb") as out:
-                for start in range(0, len(self._profiles), step):
-                    chunk = self._profiles[start:start + step]
-                    block = np.empty((len(chunk), width))
-                    block[:, 0] = [t for t, _ in chunk]
-                    block[:, 1:] = [u[s] for _, u in chunk]
-                    out.write(_format_rows(block))
+        for handle in (self._payloads, *self._spacetime, self._index):
+            handle.close()
         lines = [f"status = {status}"]
         if detail:
             lines.append(f"detail = {detail}")
@@ -439,12 +432,9 @@ class RunWriter:
                 f"reaction_evals = {summary.reaction_evals}",
                 f"wall_time = {summary.wall_time:.6g}",
                 f"dense_time = {summary.dense_time:.6g}",
-                f"snapshots = {len(self.rows)}",
+                f"snapshots = {self.snapshots}",
             ]
         (self.dir / "summary.txt").write_text("\n".join(lines) + "\n")
-
-    def _species_count(self) -> int:
-        return self._profiles[0][1].shape[0] if self._profiles else 0
 
 
 def _parse_kv(text: str) -> dict:

@@ -113,6 +113,17 @@ def test_run_adi_on_a_too_small_grid_exits_one_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("taken", "File exists"), ("taken/sub", "Not a directory")])
+def test_run_to_an_out_that_cannot_be_written_exits_one(tmp_path, capsys, out, reason):
+    (tmp_path / "taken").write_text("not a directory")
+    path = tmp_path / out
+    rc = main(["run", "--model", "fisher1d", "--t-final", "0.2", "--out", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+    assert (tmp_path / "taken").read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("flags, problem", [
     (["--t-final", "inf"], "t_final must be finite, got inf"),
     (["--t-final", "1", "--dt", "inf"], "dt must be finite, got inf"),
@@ -282,6 +293,20 @@ def test_compare_writes_csv(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert csv in captured
     assert f"written to {out}" in captured
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("taken", "Is a directory"), ("file/cmp.csv", "File exists")])
+def test_compare_to_an_out_that_cannot_be_written_exits_one(tmp_path, capsys, out, reason):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("not a directory")
+    path = tmp_path / out
+    rc = main(["compare", "--model", "fisher1d", "--n", "32", "--scheme", "rk4",
+               "--dt", "0.2", "--t-final", "0.4", "--gold-dt", "0.1", "--out", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("scheme,dt,max_abs_error,fitted_slope\n")
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
 
 
 def test_compare_words_dt_and_t_final_problems_as_run_does(tmp_path, capsys):

@@ -387,9 +387,11 @@ def test_spacetime_csv_bytes_match_per_value_formatting(tmp_path):
 
 
 def test_index_reads_back_every_snapshot_of_an_unfinished_run(tmp_path):
-    # a run killed before finish: its index already lists what it wrote,
-    # and a new writer drops the index an earlier run left in the directory
+    # a run killed before finish: its index and its space-time rows already
+    # list what it wrote, and a new writer drops the index and the rows an
+    # earlier run left in the directory
     _small_run(tmp_path)
+    finished = (tmp_path / "spacetime_0.csv").read_bytes()
     grid = make_grid(64, 20.0, 1)
     writer = RunWriter(tmp_path, grid, "fisher1d", 1)
     handed = []
@@ -410,6 +412,23 @@ def test_index_reads_back_every_snapshot_of_an_unfinished_run(tmp_path):
         assert t == t_handed and np.array_equal(fields, u)
     assert (tmp_path / "snapshots.csv").read_text() == "index,time,offset,crc32\n" + "".join(
         f"{k},{t:.17g},{offset},{crc}\n" for k, t, offset, crc in rows)
+    # one row per indexed snapshot, the first 3 rows of the finished 6-snapshot run
+    assert (tmp_path / "spacetime_0.csv").read_bytes() == b"".join(
+        finished.splitlines(keepends=True)[:3])
+
+
+@pytest.mark.parametrize("species, n", [(2, 64), (1, 32)])
+def test_fields_of_another_shape_are_refused_before_a_byte_is_written(tmp_path,
+                                                                      species, n):
+    from rdspectral.grid import State
+    writer = RunWriter(tmp_path, make_grid(n, 20.0, 1), "gray1d", species)
+    state = State(t=0.0, u=np.zeros((1, 64)), uhat=np.zeros((1, 33), complex))
+    with pytest.raises(ValueError, match=rf"shape \(1, 64\).*\({species}, {n}\)"):
+        writer(state)
+    writer.finish()
+    assert read_index(tmp_path) == []
+    for name in ["snapshots.bin"] + [f"spacetime_{s}.csv" for s in range(species)]:
+        assert (tmp_path / name).read_bytes() == b"", name
 
 
 def test_writer_without_a_config_drops_an_older_runs_config(tmp_path):
