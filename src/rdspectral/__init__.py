@@ -10,14 +10,13 @@ model registry carries the benchmark systems, and postprocessing
 covers spectral upsampling, front tracking, and pulse counting.
 
 Each module's ``__all__`` is the one list of its public names, and the
-package exports exactly those.  The ADI run is ``adi_integrate``; the
-dense algebra under it stays in ``rdspectral.adi``.
+package exports exactly those.  The ADI run is steppers' ``adi_integrate``;
+the dense algebra under it stays in ``rdspectral.adi``, which exports nothing.
 """
 
 from .grid import *
 from .models import *
 from .steppers import *
-from .adi import *
 from .postprocess import *
 from .runio import *
 from .harness import *

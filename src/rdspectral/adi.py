@@ -9,11 +9,10 @@ splitting is second order in dt and every step costs dense matrix
 multiplies, so the scheme exists purely as an accuracy and cost
 baseline for square two-dimensional single-species runs.
 
-This module holds the dense algebra, which the package does not export:
-the matrix, its step factors and one step.  The run itself is
-``integrate(..., scheme="adi")`` in the shared run loop, which carries
-the physical field and transforms it only for a snapshot or the final
-state; ``adi_integrate``, the module's one public name, is that call.
+This module holds the dense algebra and exports nothing: the matrix, its
+step factors and one step.  The run itself is ``integrate(...,
+scheme="adi")`` in steppers, which carries the physical field and
+transforms it only for a snapshot or the final state.
 """
 
 from __future__ import annotations
@@ -22,13 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# steppers imports this module for the algebra; adi_integrate looks up
-# steppers.integrate only when called, so the two modules import cleanly
-from . import steppers
-from .grid import GridSpec, State, _broken_bound, _modes
-from .models import ModelSpec
+from .grid import _broken_bound, _modes
 
-__all__ = ["adi_integrate"]
+__all__: list[str] = []
 
 
 @dataclass(frozen=True)
@@ -101,14 +96,3 @@ def adi_step(u: np.ndarray, reaction, factors: _AdiFactors) -> np.ndarray:
     u_half = factors.implicit_inv @ (u @ factors.explicit_left + half_dt * f0)
     f_mid = 2.0 * reaction(u_half) - f0
     return (factors.explicit_left @ u_half + half_dt * f_mid) @ factors.implicit_inv_t
-
-
-def adi_integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
-                  dt: float, t_final: float, snap_every: float | None = None,
-                  sink=None, params=None,
-                  initial_state: State | None = None) -> steppers.RunSummary:
-    """``integrate(..., scheme="adi")``.  The summary's ``dense_time``
-    records the seconds spent inside the dense half-step algebra."""
-    return steppers.integrate(model, grid, scheme="adi", dt=dt, t_final=t_final,
-                              snap_every=snap_every, sink=sink, params=params,
-                              initial_state=initial_state)

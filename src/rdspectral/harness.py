@@ -82,16 +82,16 @@ def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
     dt has a step's bounds).  A gold blow-up aborts the study; a member's
     blow-up or step failure records an infinite error.  Others propagate.
     """
-    spec = get_model(model) if isinstance(model, str) else model
-    if grid is None:
-        grid = default_grid(spec)
     schemes = tuple(schemes)
     dts = tuple(float(dt) for dt in dts)
     runs = [(gold_scheme, gold_dt)] + [(scheme, dt) for scheme in schemes for dt in dts]
     if problems := [p for scheme, dt in runs for p in _run_problems(
-            scheme, spec, grid, dt=dt, t_final=t_final, snap_every=None, control=None,
+            scheme, model, grid, dt=dt, t_final=t_final, snap_every=None, control=None,
             dealias=dealias, params=params)]:
         raise ValueError("; ".join(dict.fromkeys(problems)))
+    spec = get_model(model) if isinstance(model, str) else model
+    if grid is None:
+        grid = default_grid(spec)
     start = initial_condition(spec, grid, params)
 
     gold = _final_fields(spec, grid, gold_scheme, gold_dt, t_final,

@@ -148,6 +148,8 @@ class ModelSpec:
                     f"unknown parameter(s) {unknown} for model {self.name}; "
                     f"valid: {sorted(merged)}")
             merged.update({k: float(v) for k, v in overrides.items()})
+            if broken := {k: merged[k] for k in overrides if not np.isfinite(merged[k])}:
+                raise ValueError(f"parameter(s) {broken} for model {self.name} must be finite")
         return merged
 
 

@@ -20,7 +20,7 @@ builder of that coefficient data, and one stage loop runs them all:
                current time level (better constants on stiff problems).
 
 ``integrate`` is the one time loop; it also runs the ADI baseline on the
-dense algebra of adi.py.
+dense algebra of adi.py, and ``adi_integrate`` is that run.
 
 The phi coefficient functions are evaluated by the direct formulas away
 from the origin and by a contour mean near it, where the formulas lose
@@ -54,6 +54,7 @@ __all__ = [
     "phi",
     "linear_symbol",
     "integrate",
+    "adi_integrate",
 ]
 
 BLOWUP_LIMIT = 1e10
@@ -153,13 +154,18 @@ def phi(k: int, z) -> np.ndarray:
 
 # -- linear symbol ---------------------------------------------------------------
 
+def _diffusivities(values) -> tuple[float, ...]:
+    """Per-species diffusivities as floats; ValueError unless one or more, each >= 0 and finite."""
+    ds = tuple(float(d) for d in values)
+    if not ds or any(_broken_bound(d, nonnegative=True) for d in ds):
+        raise ValueError(f"diffusivities must be nonnegative and finite, got {ds}")
+    return ds
+
+
 def linear_symbol(grid: GridSpec, diffusivities) -> np.ndarray:
     """Per-species diffusion symbol L_s = -d_s * omega_sq, stacked into a
     real (species, *grid.spectral_shape) array, <= 0."""
-    ds = tuple(float(d) for d in diffusivities)
-    if not ds or any(d < 0 for d in ds):
-        raise ValueError(f"diffusivities must be nonnegative, got {ds}")
-    return np.stack([-d * grid.omega_sq for d in ds])
+    return np.stack([-d * grid.omega_sq for d in _diffusivities(diffusivities)])
 
 
 # -- the exponential Runge-Kutta stage loop ---------------------------------------
@@ -417,7 +423,7 @@ def _run_problems(scheme: str, model: ModelSpec | str, grid: GridSpec | None, *,
     if spec is None:
         return problems
     try:
-        spec.params(params)
+        _diffusivities(spec.diffusivities_of(spec.params(params)))
     except ValueError as err:
         problems.append(str(err))
     if start is not None or scheme == "adi":
@@ -607,3 +613,11 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
         dt_history=dt_history,
         dense_time=dense.seconds if dense is not None else 0.0,
     )
+
+
+def adi_integrate(model: ModelSpec | str, grid: GridSpec | None = None, *, dt: float,
+                  t_final: float, snap_every: float | None = None, sink=None, params=None,
+                  initial_state: State | None = None) -> RunSummary:
+    """``integrate(..., scheme="adi")``; ``dense_time`` is the seconds in the dense algebra."""
+    return integrate(model, grid, scheme="adi", dt=dt, t_final=t_final, snap_every=snap_every,
+                     sink=sink, params=params, initial_state=initial_state)

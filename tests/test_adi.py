@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from rdspectral import grid as spectral
-from rdspectral.adi import adi_integrate, adi_step, build_diff_matrix
+from rdspectral.adi import adi_step, build_diff_matrix
 from rdspectral.grid import make_grid, state_from_physical
 from rdspectral.models import get_model, initial_condition
-from rdspectral.steppers import BlowUpError, integrate
+from rdspectral.steppers import BlowUpError, adi_integrate, integrate
 
 
 def spectral_conjugation_oracle(n, half_length):

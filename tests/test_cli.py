@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rdspectral.cli import main
+from rdspectral.grid import make_grid
 from rdspectral.models import MODELS
-from rdspectral.runio import (RunConfig, iter_snapshots, load_config, load_snapshot,
-                              read_header, read_index)
+from rdspectral.runio import (RunConfig, RunWriter, iter_snapshots, load_config,
+                              load_snapshot, read_header, read_index)
 
 
 def test_list_models_prints_registry_order(capsys):
@@ -26,6 +27,13 @@ def test_describe_prints_registry_entry(capsys):
     assert "default grid: n = 512, L = 50, 1D" in out
     assert "eps = 0.01" in out
     assert "ratio of diffusivities" in out
+
+
+def test_describe_a_model_without_parameters(capsys):
+    assert main(["describe", "fisher2d"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "fisher2d"
+    assert out[-1] == "  parameters: none"
 
 
 def test_describe_unknown_model_fails(capsys):
@@ -145,12 +153,30 @@ def test_run_rejects_non_finite_inputs_and_writes_nothing(tmp_path, capsys, flag
     (["--dt", "0.1", "--t-final", "inf"], "t_final must be finite, got inf"),
     (["--dt", "0.1", "--t-final", "nan"], "t_final must be nonnegative, got nan"),
     (["--dt", "0.1", "--t-final", "1", "--gold-dt", "nan"], "--gold-dt must be positive, got nan"),
+    (["--dt", "0.1", "--t-final", "1", "--param", "delta=nan"],
+     "parameter(s) {'delta': nan} for model fisher1d must be finite"),
 ])
 def test_compare_rejects_non_finite_inputs(tmp_path, capsys, flags, problem):
     out = tmp_path / "cmp.csv"
     rc = main(["compare", "--model", "fisher1d", "--n", "64", "--out", str(out)] + flags)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, problems", [
+    (["--param", "eps=-1"], ["diffusivities must be nonnegative and finite, got (1.0, -1.0)"]),
+    (["--param", "eps=nan"], ["parameter(s) {'eps': nan} for model gray1d must be finite"]),
+    (["--param", "a=inf", "--dt", "-1"],
+     ["dt must be positive, got -1.0", "parameter(s) {'a': inf} for model gray1d must be finite"]),
+])
+def test_run_refuses_a_bad_model_parameter_and_writes_nothing(tmp_path, capsys, flags,
+                                                              problems):
+    out = tmp_path / "run"
+    rc = main(["run", "--model", "gray1d", "--n", "64", "--t-final", "1",
+               "--out", str(out)] + flags)
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {p}" for p in problems]
     assert not out.exists()
 
 
@@ -447,6 +473,12 @@ def _upsample_error(run_dir, capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     return err[0]
+
+
+def test_upsample_of_a_run_directory_without_snapshots_exits_one(tmp_path, capsys):
+    # a run killed after its writer was made, before the first snapshot
+    RunWriter(tmp_path / "empty", make_grid(16, 5.0, 1), "fisher1d", 1)
+    assert _upsample_error(tmp_path / "empty", capsys) == "error: run directory has no snapshots"
 
 
 def test_upsample_of_a_deleted_snapshot_exits_one(run_2d, capsys):

@@ -9,6 +9,7 @@ import pytest
 from rdspectral.grid import make_grid
 from rdspectral.harness import ConvergenceStudy, convergence_study, fit_slope
 from rdspectral.models import get_model
+from rdspectral.steppers import integrate
 
 
 def test_fit_slope_recovers_exact_power_law():
@@ -100,6 +101,15 @@ def test_study_names_every_run_problem_before_any_run(monkeypatch):
     assert "unknown parameter(s) ['bogus']" in message
     assert "dt must be positive, got -1.0" in message
     assert calls == []
+
+
+def test_study_names_an_unknown_model_with_the_other_problems():
+    with pytest.raises(ValueError) as study:
+        convergence_study("nope", schemes=["euler"], dts=[-1.0], t_final=1.0)
+    with pytest.raises(ValueError) as run:
+        integrate("nope", scheme="euler", dt=-1.0, t_final=1.0)
+    assert "unknown scheme 'euler'" in str(study.value)
+    assert str(study.value) == str(run.value)
 
 
 def test_study_dispatches_adi_and_ck45():

@@ -382,6 +382,29 @@ def test_integrate_names_an_unknown_parameter_with_the_other_problems():
                                   "['bogus'] for model fisher1d; valid: ['delta']")
 
 
+@pytest.mark.parametrize("params, problem", [
+    ({"eps": -1.0}, "diffusivities must be nonnegative and finite, got (1.0, -1.0)"),
+    # a non-finite reaction parameter used to start the run and blow up at t=0
+    ({"a": np.nan}, "parameter(s) {'a': nan} for model gray1d must be finite"),
+    ({"a": np.inf}, "parameter(s) {'a': inf} for model gray1d must be finite"),
+    ({"a": -np.inf}, "parameter(s) {'a': -inf} for model gray1d must be finite"),
+])
+def test_integrate_names_a_bad_parameter_with_the_other_problems(params, problem):
+    with pytest.raises(ValueError) as excinfo:
+        integrate("gray1d", scheme="rk4", dt=-1, t_final=1, params=params)
+    assert str(excinfo.value) == f"dt must be positive, got -1; {problem}"
+
+
+@pytest.mark.parametrize("d", [np.nan, np.inf])
+def test_a_diffusivity_that_is_not_finite_is_refused(d):
+    spec = dataclasses.replace(get_model("gray1d"), diffusivities_of=lambda p: (1.0, d))
+    with pytest.raises(ValueError, match="diffusivities must be nonnegative and finite"):
+        linear_symbol(make_grid(16, 5.0, 1), (1.0, d))
+    with pytest.raises(ValueError) as excinfo:
+        integrate(spec, make_grid(64, 50.0, 1), scheme="rk4", dt=0.1, t_final=1)
+    assert str(excinfo.value) == f"diffusivities must be nonnegative and finite, got (1.0, {d})"
+
+
 def test_integrate_names_a_misshapen_start_with_the_other_problems():
     start = initial_condition("fisher1d", make_grid(32, 50.0, 1))
     with pytest.raises(ValueError) as excinfo:
@@ -490,7 +513,7 @@ def test_tracer_patch_points_see_every_call(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, name, counted)
 
     grid = make_grid(32, 25.0, 2)
-    for run in (lambda: adi.adi_integrate("fisher2d", grid, dt=0.1, t_final=1.05),
+    for run in (lambda: steppers.adi_integrate("fisher2d", grid, dt=0.1, t_final=1.05),
                 lambda: integrate("fisher2d", grid, scheme="adi", dt=0.1, t_final=1.05)):
         calls.clear()
         run()
