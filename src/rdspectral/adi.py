@@ -75,7 +75,9 @@ def build_diff_matrix(n: int, half_length: float) -> DiffMatrix:
     ).real
     matrix = 0.5 * (columns + columns.T)  # operator is symmetric; discard rounding skew
     # all eigenvalues are -omega^2 <= 0, so [I - (dt/2) d D] is never singular
-    assert np.linalg.eigvalsh(matrix).max() <= 1e-8 * omega.max() ** 2
+    top = np.linalg.eigvalsh(matrix).max()
+    if not top <= 1e-8 * omega.max() ** 2:  # also true for nan
+        raise RuntimeError(f"differentiation matrix has a positive eigenvalue {top:.3g}")
     matrix.setflags(write=False)
     return DiffMatrix(n=n, matrix=matrix)
 

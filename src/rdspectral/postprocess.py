@@ -10,11 +10,12 @@ window.  All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, _broken_bound
 
 __all__ = [
     "FrontTrace",
@@ -77,16 +78,24 @@ def fourier_upsample_2d(field: np.ndarray, new_nx: int, new_ny: int) -> np.ndarr
     return np.fft.ifft2(padded).real * ((new_nx / nx) * (new_ny / ny))
 
 
+def _check_threshold(threshold: float) -> None:
+    # a nan threshold crosses nothing and an infinite one everything or nothing
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def front_position(u: np.ndarray, grid: GridSpec, threshold: float = 1e-4,
                    direction: str = "right") -> float | None:
     """Locate the threshold crossing of a 1D profile, or None if absent.
 
-    Crossings between adjacent nodes are placed by linear interpolation;
-    ``direction`` picks the rightmost ("right") or leftmost ("left")
-    crossing, matching an outward- or inward-moving edge.
+    Crossings of a finite ``threshold`` between adjacent nodes are placed
+    by linear interpolation; ``direction`` picks the rightmost ("right")
+    or leftmost ("left") crossing, matching an outward- or inward-moving
+    edge.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', got {direction!r}")
+    _check_threshold(threshold)
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError(f"front tracking needs a 1D profile, got shape {u.shape}")
@@ -116,6 +125,7 @@ def trace_front(states, grid: GridSpec, species: int = 0,
                 threshold: float = 1e-4, direction: str = "right") -> FrontTrace:
     """Track the front through a sequence of states (snapshots without a
     crossing are dropped)."""
+    _check_threshold(threshold)
     times, positions = [], []
     for state in states:
         pos = front_position(state.u[species], grid, threshold, direction)
@@ -148,9 +158,10 @@ def front_speed(trace: FrontTrace, window: tuple[float, float] | None = None) ->
 
 
 def pulse_count(v: np.ndarray, floor: float) -> int:
-    """Count strict local maxima above floor, with periodic neighbors."""
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
+    """Count strict local maxima above floor, with periodic neighbors;
+    floor must be positive and finite."""
+    if bound := _broken_bound(floor):
+        raise ValueError(f"floor must be {bound}, got {floor}")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"pulse counting needs a 1D profile, got shape {v.shape}")

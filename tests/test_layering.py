@@ -1,5 +1,7 @@
-"""The package's modules import one another without a cycle: each import a
-module makes at load time points down the layers, never back up."""
+"""Rules on the package's source, read with ``ast``: the modules import one
+another without a cycle (each import a module makes at load time points
+down the layers, never back up), and no check is an ``assert``, which
+``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -58,3 +60,12 @@ def test_the_package_modules_import_without_a_cycle():
     assert "grid" in graph["steppers"]
     cycle = _cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_the_package_has_no_assert_statement():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) >= 8
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/rdspectral: " + ", ".join(found)

@@ -2,11 +2,14 @@
 
 Table slot k holds the standard function of order k + 1: slot 0 is
 (e^z - 1)/z, slot 1 is (e^z - 1 - z)/z^2, slot 2 adds the z^2/2 term.
-Two independent oracles pin the values: a truncated Taylor series where
-it converges fast enough to be trusted, and 50-digit closed-form
-evaluation everywhere else.
+Three independent oracles pin the values: a truncated Taylor series where
+it converges fast enough to be trusted, 50-digit closed-form evaluation
+everywhere else, and the 32-point complex contour mean of Kassam &
+Trefethen (SIAM J. Sci. Comput. 26, 2005), against which whole ETD
+coefficient tables are compared.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -17,8 +20,8 @@ from hypothesis import strategies as st
 
 from rdspectral import steppers
 from rdspectral.grid import make_grid
-from rdspectral.models import get_model
-from rdspectral.steppers import (PHI_CONTOUR_THRESHOLD, _build_tables, integrate,
+from rdspectral.models import MODELS, default_grid, get_model
+from rdspectral.steppers import (PHI_SERIES_THRESHOLD, _build_tables, integrate,
                                  linear_symbol, phi)
 
 
@@ -63,7 +66,7 @@ def test_mp_oracle_full_range():
     for slot in (0, 1, 2):
         got = phi(slot, z)
         want = np.array([phi_mp(slot, v) for v in z])
-        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
 
 
 def test_values_at_moderate_argument():
@@ -80,41 +83,75 @@ def test_limits_at_zero():
     assert phi(2, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-13)
 
 
-def test_contour_agrees_with_direct_formula_near_threshold():
-    # just inside the contour region the direct formula is still sound
-    # (no catastrophic cancellation yet), so both methods must agree
+def test_series_agrees_with_direct_formula_near_threshold():
+    # on both sides of the threshold neither the series nor the direct
+    # formula has lost digits yet, so the two methods must agree
+    from rdspectral.steppers import _phi_direct, _phi_series
+    magnitudes = np.linspace(0.45, 0.55, 101)
+    assert magnitudes[0] < PHI_SERIES_THRESHOLD < magnitudes[-1]
+    z = np.concatenate([-magnitudes, magnitudes])
+    e = np.exp(z)
+    for slot, series in enumerate(_phi_series(z)):
+        direct = _phi_direct(slot, z, e)
+        assert np.max(np.abs(series - direct) / np.abs(direct)) < 1e-13
+        got = phi(slot, z)
+        inside = np.abs(z) <= PHI_SERIES_THRESHOLD
+        assert np.array_equal(got[inside], series[inside])
+        assert np.array_equal(got[~inside], direct[~inside])
+
+
+def test_shared_exponentials_give_the_same_bits():
+    # the orders at one argument share exp(z) and the series, and any set
+    # of orders still gives each order's bits as phi gives them alone
+    spec = get_model("gray2d")
+    symbol = linear_symbol(make_grid(32, 25.0, 2), spec.diffusivities_of(spec.params()))
+    arguments = (symbol * 0.1, 0.05 * symbol, np.linspace(-3.0, 0.0, 61), -0.25, -2.0,
+                 np.array([0.3 + 0.1j, -1.0 + 2.0j, 0.0j]))
+    order_sets = [orders for r in (1, 2, 3) for orders in itertools.permutations((0, 1, 2), r)]
+    for z in arguments:
+        alone = [phi(k, z) for k in (0, 1, 2)]
+        for orders in order_sets:
+            for k, got in zip(orders, steppers._phis(z, orders)):
+                assert np.array_equal(got, alone[k])
+                assert np.iscomplexobj(got) == np.iscomplexobj(z)
+
+
+def _phi_contour(k, z):
+    # the mean of the direct formula over 32 points on the unit circle
+    # centred at z, near the origin; the direct formula elsewhere
     from rdspectral.steppers import _phi_direct
-    for slot in (0, 1, 2):
-        for z in (-0.499, -0.45, -0.3):
-            assert z < -0.0 and abs(z) < PHI_CONTOUR_THRESHOLD
-            contour = phi(slot, z)
-            zc = np.asarray(z, dtype=complex)
-            direct = float(_phi_direct(slot, zc, np.exp(zc)).real)
-            assert abs(contour - direct) < 1e-12
-
-
-def _phi_one_order(k, z):
-    # phi as evaluated one order at a time, each with its own exponentials
-    from rdspectral.steppers import _PHI_POINTS, _phi_direct
     flat = np.asarray(z).ravel().astype(complex)
     out = np.empty(flat.shape, dtype=complex)
-    small = np.abs(flat) <= PHI_CONTOUR_THRESHOLD
-    far, ring = flat[~small], flat[small, None] + _PHI_POINTS
+    small = np.abs(flat) <= 0.5
+    far = flat[~small]
+    ring = flat[small, None] + np.exp(2j * np.pi * np.arange(32) / 32)
     out[~small] = _phi_direct(k, far, np.exp(far))
     out[small] = _phi_direct(k, ring, np.exp(ring)).mean(axis=-1)
     return out.reshape(np.shape(z)).real
 
 
-def test_shared_exponentials_give_the_same_bits():
-    # the orders at one argument share exp(z) and the contour's exp, and
-    # still equal one-order-at-a-time evaluation bit for bit
-    spec = get_model("gray2d")
-    symbol = linear_symbol(make_grid(32, 25.0, 2), spec.diffusivities_of(spec.params()))
-    for z in (symbol * 0.1, 0.05 * symbol, np.linspace(-3.0, 0.0, 61)):
-        values = steppers._phis(z, (0, 1, 2))
-        for k, got in enumerate(values):
-            assert np.array_equal(got, _phi_one_order(k, z))
-        assert np.array_equal(steppers._phis(z, (1,))[0], values[1])
+def _coefficient_arrays(tableau):
+    # every array in a tableau, in row order: each row's E, then each term's factors
+    stages, outputs = tableau
+    for E, terms in stages + outputs:
+        yield E
+        for _, *factors in terms:
+            yield from (f for f in factors if isinstance(f, np.ndarray))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_etd_tables_agree_with_the_contour_oracle(model, monkeypatch):
+    spec = get_model(model)
+    symbol = linear_symbol(default_grid(spec), spec.diffusivities_of(spec.params()))
+    for scheme, dt in itertools.product(("etdrk4", "etdrk4b"), (0.01, 0.1, 1.0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(steppers, "_phis",
+                          lambda z, orders: [_phi_contour(k, z) for k in orders])
+            want = list(_coefficient_arrays(_build_tables(scheme, symbol, dt)))
+        got = list(_coefficient_arrays(_build_tables(scheme, symbol, dt)))
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), (scheme, dt)
 
 
 def test_complex_input_matches_direct_formula():

@@ -238,6 +238,26 @@ def test_pulse_count_validation():
         pulse_count(np.zeros((2, 8)), floor=0.1)
 
 
+@pytest.mark.parametrize("floor, problem", [
+    (np.nan, "floor must be positive, got nan"),
+    (-np.inf, "floor must be positive, got -inf"),
+    (np.inf, "floor must be finite, got inf"),
+])
+def test_pulse_count_refuses_a_floor_that_is_not_finite(floor, problem):
+    with pytest.raises(ValueError, match=problem):
+        pulse_count(np.cos(np.linspace(0.0, 8.0 * np.pi, 64, endpoint=False)), floor)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_front_tracking_refuses_a_threshold_that_is_not_finite(threshold):
+    grid = make_grid(64, 5.0, 1)
+    u = _tanh_profile(grid.coords[0], 0.0)
+    with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+        front_position(u, grid, threshold)
+    with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+        trace_front([SimpleNamespace(t=0.0, u=np.array([u]))], grid, threshold=threshold)
+
+
 def test_max_abs_error():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = a + np.array([[0.0, -0.5], [0.25, 0.0]])

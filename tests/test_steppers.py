@@ -467,6 +467,18 @@ def test_a_start_after_t_final_is_refused():
     assert summary.steps == 0 and summary.t_end == 1.0
 
 
+@pytest.mark.parametrize("t", [np.nan, -np.inf, np.inf])
+def test_a_start_at_a_time_that_is_not_finite_is_refused(t):
+    grid = make_grid(64, 50.0, 1)
+    start = state_from_physical(grid, initial_condition("gray1d", grid).u, t=t)
+    with pytest.raises(ValueError, match=f"initial state t must be finite, got {t}") as err:
+        integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=1.0, initial_state=start)
+    assert "start time" not in str(err.value)
+    # named with the other problems, in one error
+    with pytest.raises(ValueError, match=f"dt must be positive, got -1.0; .*finite, got {t}"):
+        integrate("gray1d", grid, scheme="rk4", dt=-1.0, t_final=1.0, initial_state=start)
+
+
 @pytest.mark.parametrize("given, problem", [
     ({"dt": np.nan}, "dt must be positive, got nan"),
     ({"dt": np.inf}, "dt must be finite, got inf"),
