@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import _broken_bound, _grid_problems, make_grid, state_from_physical
 from .harness import convergence_study
-from .models import MODELS, default_timestep, get_model
+from .models import MODELS, default_timestep, get_model, initial_condition
 from .postprocess import fourier_upsample_1d, fourier_upsample_2d
 from .runio import (_SETTINGS, ConfigError, RunConfig, RunWriter, _parse_bool,
                     load_config, load_snapshot, read_header, read_index)
@@ -90,17 +90,20 @@ def _cmd_run(args) -> int:
     if problems:
         return _fail(problems)
 
-    spec = get_model(cfg.model)
     grid = cfg.grid()
+    try:  # a start the model refuses is named before anything is written
+        start = initial_condition(cfg.model, grid, cfg.params)
+    except ValueError as err:
+        return _fail([str(err)])
     out = Path(cfg.out) if cfg.out else Path("runs") / cfg.model
     control = None if cfg.rel_tol is None else StepControl(rel_tol=cfg.rel_tol)
     try:
-        writer = RunWriter(out, grid, cfg.model, spec.species,
+        writer = RunWriter(out, grid, cfg.model, start.species,
                            config=cfg, snap_every=cfg.snap_every)
         try:
-            summary = integrate(spec, grid, scheme=cfg.scheme, t_final=cfg.t_final, dt=cfg.dt,
+            summary = integrate(cfg.model, grid, scheme=cfg.scheme, t_final=cfg.t_final, dt=cfg.dt,
                                 control=control, params=cfg.params, dealias=cfg.dealias,
-                                snap_every=cfg.snap_every, sink=writer)
+                                snap_every=cfg.snap_every, sink=writer, initial_state=start)
         except (BlowUpError, StepSizeError) as err:
             status = "blowup" if isinstance(err, BlowUpError) else "stepfail"
             writer.finish(None, status=status, detail=str(err))
@@ -128,20 +131,22 @@ def _cmd_compare(args) -> int:
         problems.append(f"--gold-dt must be {bound}, got {args.gold_dt:g}")
     # every other check is that of a run of each scheme at each dt; the
     # gold run's dt is --gold-dt, checked above
-    shared = _given(args, ("n", "half_length", "dealias"))
+    base = RunConfig(model=args.model, t_final=args.t_final, params=params,
+                     **_given(args, ("n", "half_length", "dealias")))
     runs = [(scheme, dt) for scheme in schemes for dt in args.dt or (None,)]
     runs += [(args.gold_scheme, None)] if args.gold_scheme is not None else []
     for scheme, dt in dict.fromkeys(runs):
-        cfg = RunConfig(model=args.model, scheme=scheme, dt=dt, t_final=args.t_final,
-                        params=params, **shared)
+        cfg = dataclasses.replace(base, scheme=scheme, dt=dt)
         problems.extend(p for p in cfg.validate() if p not in problems)
     if problems:
         return _fail(problems)
 
     try:
         study = convergence_study(args.model, schemes=schemes, dts=args.dt,
-                                  t_final=args.t_final, grid=cfg.grid(), params=params,
-                                  dealias=cfg.dealias, **gold)
+                                  t_final=args.t_final, grid=base.grid(), params=params,
+                                  dealias=base.dealias, **gold)
+    except ValueError as err:  # every run was checked above: only the start is left
+        return _fail([str(err)])
     except (BlowUpError, StepSizeError) as err:
         print(f"error: gold run aborted, study cancelled: {err}", file=sys.stderr)
         return 2

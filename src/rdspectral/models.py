@@ -196,6 +196,8 @@ def _ic_auto(grid, p):
 
 def _ic_labyrinthine(grid, p):
     a0, a1 = p["a0"], p["a1"]
+    if a1 == 0.0:  # the rest state's v = (u - a0) / a1
+        raise ValueError(f"the labyrinthine initial state needs a1 != 0, got a1={a1}")
     u_minus = cubic_root_u_minus(a0, a1)
     v_minus = (u_minus - a0) / a1
     x, y = grid.mesh()

@@ -182,11 +182,10 @@ def config_to_text(config: RunConfig) -> str:
         if parse is _parse_bool:
             lines.append(f"{key} = {'true' if value else 'false'}")
         elif value is not None:
-            # repr gives the shortest string that parses back to the same double
-            lines.append(f"{key} = {value!r}" if isinstance(value, float)
-                         else f"{key} = {value}")
+            # parse gives n = 64.0 back as 64 and any float as one whose str reads back exactly
+            lines.append(f"{key} = {parse(value)}")
     for name in sorted(config.params):
-        lines.append(f"param.{name} = {config.params[name]!r}")
+        lines.append(f"param.{name} = {float(config.params[name])}")
     return "\n".join(lines) + "\n"
 
 

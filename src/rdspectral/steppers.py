@@ -406,7 +406,7 @@ def _ck45_attempt(N, grid: GridSpec, symbol: np.ndarray, control: StepControl,
 
 # -- the run loop ---------------------------------------------------------------
 
-SCHEMES = ("rk4", "ck45", "etdrk4", "etdrk4b", "adi")
+SCHEMES = (*_TABLEAUS, "adi")
 
 
 def _run_problems(scheme: str, model: ModelSpec | str, grid: GridSpec | None, *,
@@ -509,8 +509,8 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     step in dt_history as (time after the step, the step taken).
     ``dealias`` masks the spectral schemes' reaction term by the 2/3 rule,
     which removes all aliasing only from a quadratic reaction; ``adi``
-    rejects it.  ``sink`` is called with the initial state, at every
-    crossing of the snapshot cadence, and with the final state.  Invalid
+    rejects it.  ``sink`` gets the initial state, the state after the
+    first step at or past each t0 + k snap_every, and the final state.  Invalid
     settings (an unknown model, an unknown parameter, a step setting, an
     ``initial_state`` not shaped for the model on the grid, at a time that
     is not finite or later than t_final) raise one ValueError naming
@@ -591,7 +591,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
                     coefficients[h] = build(h)
                 y = step(y, t, h, coefficients[h])
                 accepted += 1
-                # pin time arithmetic to multiples of dt to avoid drift
+                # t0 + k dt, as snapshots are due at t0 + k snap_every: a running sum drifts
                 t = t0 + accepted * dt if h == dt else t_final
             else:
                 h = min(proposal, remaining)
@@ -607,8 +607,8 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
             if next_snap is not None and t + eps >= next_snap:
                 emitted = as_state(y, t)
                 emit(emitted)
-                while next_snap <= t + eps:
-                    next_snap += snap_every
+                k = (t + eps - t0) / snap_every  # inf only for a cadence too fine to count
+                next_snap = t0 + snap_every * (math.floor(k) + 1) if k < math.inf else t
     except BlowUpError as exc:
         raise BlowUpError(exc.t, exc.max_abs, f"model={spec.name} scheme={scheme}: {exc.detail}",
                           exc.species, exc.index) from exc

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdspectral import adi
 from rdspectral import grid as spectral
 from rdspectral.adi import adi_step, build_diff_matrix
 from rdspectral.grid import make_grid, state_from_physical
@@ -65,29 +66,50 @@ def test_matrix_is_readonly():
         diff.matrix[0, 0] = 1.0
 
 
-def test_build_validation():
-    with pytest.raises(ValueError, match="even n"):
-        build_diff_matrix(15, 1.0)
-    with pytest.raises(ValueError, match="even n"):
-        build_diff_matrix(2, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        build_diff_matrix(16, 0.0)
+def _adi_unreached(monkeypatch):
+    """Make any call into the dense algebra fail: adi checks none of its
+    inputs, so make_grid and integrate must refuse them before it is reached."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("the ADI algebra was reached")
+    monkeypatch.setattr(adi, "build_diff_matrix", unreached)
+    monkeypatch.setattr(adi.DiffMatrix, "factors", unreached)
 
 
-def test_factors_memoized_and_validated():
-    diff = build_diff_matrix(16, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        diff.factors(-0.1)
+def test_build_validation(monkeypatch):
+    _adi_unreached(monkeypatch)
+    with pytest.raises(ValueError, match="^n must be even and >= 2, got 15$"):
+        make_grid(15, 1.0, 2)
+    with pytest.raises(ValueError, match="^L must be positive, got 0.0$"):
+        make_grid(16, 0.0, 2)
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher2d", make_grid(2, 1.0, 2), scheme="adi", dt=0.1, t_final=0.2)
+    assert str(excinfo.value) == (
+        "scheme adi cannot run model fisher2d: the ADI scheme needs n >= 4, got 2")
 
 
-def test_non_finite_sizes_are_refused():
-    with pytest.raises(ValueError, match="half_length must be positive, got nan"):
-        build_diff_matrix(16, float("nan"))
-    diff = build_diff_matrix(16, 1.0)
-    with pytest.raises(ValueError, match="dt must be positive, got nan"):
-        diff.factors(float("nan"))
-    with pytest.raises(ValueError, match="dt must be finite, got inf"):
-        diff.factors(float("inf"))
+def test_factors_memoized_and_validated(monkeypatch):
+    # one factor build per step size: dt, then the shortened final step
+    built = []
+    factors = adi.DiffMatrix.factors
+    monkeypatch.setattr(adi.DiffMatrix, "factors",
+                        lambda self, dt, d=1.0: built.append(dt) or factors(self, dt, d))
+    adi_integrate("fisher2d", make_grid(16, 5.0, 2), dt=0.1, t_final=0.35)
+    assert built == [0.1, pytest.approx(0.05)]
+    _adi_unreached(monkeypatch)
+    with pytest.raises(ValueError, match="^dt must be positive, got -0.1$"):
+        adi_integrate("fisher2d", make_grid(16, 5.0, 2), dt=-0.1, t_final=0.2)
+
+
+def test_non_finite_sizes_are_refused(monkeypatch):
+    _adi_unreached(monkeypatch)
+    with pytest.raises(ValueError, match="^L must be positive, got nan$"):
+        make_grid(16, float("nan"), 2)
+    grid = make_grid(16, 1.0, 2)
+    for dt, problem in ((float("nan"), "dt must be positive, got nan"),
+                        (float("inf"), "dt must be finite, got inf")):
+        with pytest.raises(ValueError) as excinfo:
+            integrate("fisher2d", grid, scheme="adi", dt=dt, t_final=0.2)
+        assert str(excinfo.value) == problem
 
 
 def test_one_mode_step_matches_analytic_factor():

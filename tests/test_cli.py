@@ -180,6 +180,36 @@ def test_run_refuses_a_bad_model_parameter_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+_REFUSED_STARTS = [
+    ("a0=10000", "no real root of the rest-state cubic in [-10, 10] for a0=10000.0, a1=2.0"),
+    ("a1=0", "the labyrinthine initial state needs a1 != 0, got a1=0.0"),
+]
+
+
+@pytest.mark.parametrize("param, problem", _REFUSED_STARTS)
+def test_run_names_a_start_the_model_refuses_and_writes_nothing(tmp_path, capsys, param,
+                                                                problem):
+    out = tmp_path / "x"
+    rc = main(["run", "--model", "labyrinthe2d", "--param", param, "--t-final", "1",
+               "--n", "16", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, problem", _REFUSED_STARTS)
+def test_compare_names_a_start_the_model_refuses_and_writes_no_csv(tmp_path, capsys, param,
+                                                                   problem):
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--model", "labyrinthe2d", "--param", param, "--n", "16",
+               "--scheme", "rk4", "--dt", "0.5", "--t-final", "1", "--gold-dt", "0.25",
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {problem}\n")
+    assert not out.exists()
+
+
 def test_run_rejects_tol_with_a_fixed_step_scheme(tmp_path, capsys):
     out = tmp_path / "rk4"
     rc = main(["run", "--model", "fisher1d", "--scheme", "rk4", "--tol", "0.001",

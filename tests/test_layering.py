@@ -1,7 +1,7 @@
 """Rules on the package's source, read with ``ast``: the modules import one
 another without a cycle (each import a module makes at load time points
-down the layers, never back up), and no check is an ``assert``, which
-``python -O`` strips."""
+down the layers, never back up), no check is an ``assert``, which
+``python -O`` strips, and ``adi`` takes only the mode numbers from ``grid``."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,18 @@ def test_the_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src/rdspectral: " + ", ".join(found)
+
+
+def test_adi_imports_nothing_from_the_package_but_the_mode_numbers():
+    # adi.py is the dense algebra alone: make_grid and integrate check its
+    # inputs, so it needs no check helper of the package
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "adi.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("rdspectral")):
+            module = (node.module or "").removeprefix("rdspectral.")
+            imported.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.name, None) for alias in node.names
+                            if alias.name.startswith("rdspectral"))
+    assert imported == {("grid", "_modes")}

@@ -170,6 +170,13 @@ def test_labyrinthine_rest_state_is_stationary():
     assert np.all(np.abs(rates) < 1e-12)
 
 
+def test_labyrinthine_start_refuses_a_zero_feedback_slope():
+    # the rest state's v is (u - a0) / a1
+    with pytest.raises(ValueError) as excinfo:
+        initial_condition("labyrinthe2d", make_grid(16, 10.0, 2), {"a1": 0.0})
+    assert str(excinfo.value) == "the labyrinthine initial state needs a1 != 0, got a1=0.0"
+
+
 def test_fisher1d_ic_formula():
     grid = make_grid(64, 10.0, 1)
     state = initial_condition("fisher1d", grid, {"delta": 2.0})

@@ -60,6 +60,22 @@ def test_config_roundtrip_via_disk(tmp_path):
     assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize("settings, line", [
+    ({"n": 64.0}, "n = 64"),            # validate takes n = 64.0 as make_grid does
+    ({"n": np.float64(64.0)}, "n = 64"),
+    ({"dt": np.float64(0.1)}, "dt = 0.1"),
+    ({"params": {"delta": np.float64(2.0)}}, "param.delta = 2.0"),
+])
+def test_config_txt_reloads_every_config_validate_takes(tmp_path, settings, line):
+    cfg = RunConfig(model="fisher1d", t_final=1.0, **settings)
+    assert cfg.validate() == []
+    assert line in config_to_text(cfg).splitlines()
+    path = tmp_path / "config.txt"
+    path.write_text(config_to_text(cfg))
+    assert load_config(path) == cfg
+    assert load_config(path).grid().n == cfg.grid().n
+
+
 def test_parse_comments_blank_lines_and_key_aliases():
     cfg = parse_config_text(
         "# a demo\n"

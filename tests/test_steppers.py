@@ -244,6 +244,17 @@ def test_snapshot_cadence_times():
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("snap_every", [1e-17, 1e-300, 5e-324])
+def test_a_cadence_finer_than_a_step_emits_every_step(snap_every):
+    # the next snapshot time is t0 + k snap_every in closed form, not a
+    # running sum: adding 1e-17 to 0.1 no longer moves it, and a subnormal
+    # cadence makes the count infinite
+    times = []
+    integrate("fisher1d", make_grid(16, 5.0, 1), scheme="rk4", dt=0.1, t_final=0.3,
+              snap_every=snap_every, sink=lambda s: times.append(s.t))
+    assert times == [k * 0.1 for k in range(4)]
+
+
 def test_sink_without_cadence_gets_first_and_last():
     states = []
     integrate("gray1d", make_grid(64, 50.0, 1), scheme="rk4", dt=0.1,
