@@ -64,9 +64,8 @@ def _final_fields(spec: ModelSpec, grid: GridSpec, scheme: str, dt: float,
     # the adaptive scheme's accuracy knob is its tolerance, so that is what
     # the sweep varies; its first step is the model's default_timestep
     step = {"control": StepControl(rel_tol=dt)} if scheme == "ck45" else {"dt": dt}
-    summary = integrate(spec, grid, scheme=scheme, t_final=t_final, params=params,
-                        dealias=dealias, initial_state=start, **step)
-    return summary.final_state.u
+    return integrate(spec, grid, scheme=scheme, t_final=t_final, params=params,
+                     dealias=dealias, initial_state=start, **step).final_state.u
 
 
 def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
@@ -89,7 +88,7 @@ def convergence_study(model: ModelSpec | str, *, schemes, dts, t_final: float,
             scheme, model, grid, dt=dt, t_final=t_final, snap_every=None, control=None,
             dealias=dealias, params=params)]:
         raise ValueError("; ".join(dict.fromkeys(problems)))
-    spec = get_model(model) if isinstance(model, str) else model
+    spec = get_model(model)
     if grid is None:
         grid = default_grid(spec)
     start = initial_condition(spec, grid, params)

@@ -319,12 +319,12 @@ MODELS: dict[str, ModelSpec] = {spec.name: spec for spec in (
 )}
 
 
-def get_model(name: str) -> ModelSpec:
-    try:
-        return MODELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {name!r}; valid models: {', '.join(sorted(MODELS))}") from None
+def get_model(model: ModelSpec | str) -> ModelSpec:
+    """``model`` if a ModelSpec, else the one MODELS holds by that name: the only lookup."""
+    spec = MODELS.get(model) if isinstance(model, str) else model
+    if not isinstance(spec, ModelSpec):
+        raise ValueError(f"unknown model {model!r}; valid models: {', '.join(sorted(MODELS))}")
+    return spec
 
 
 def default_grid(model: ModelSpec) -> GridSpec:
@@ -340,7 +340,7 @@ def default_timestep(model: ModelSpec, params: Mapping[str, float] | None = None
 def initial_condition(model: ModelSpec | str, grid: GridSpec | None = None,
                       params: Mapping[str, float] | None = None) -> State:
     """Default initial State for a model (grid defaults to the model's)."""
-    spec = get_model(model) if isinstance(model, str) else model
+    spec = get_model(model)
     if grid is None:
         grid = default_grid(spec)
     return state_from_physical(grid, list(spec.ic(grid, spec.params(params))), t=0.0)

@@ -103,8 +103,8 @@ class RunConfig:
 
     def validate(self) -> list[str]:
         """All problems with this config; empty if fine.  The grid and the
-        run are checked as ``make_grid`` and ``integrate`` check them; only
-        ``tol``, a required ``t_final`` and ``out`` are checked here."""
+        run are checked as ``make_grid`` and ``integrate`` check them, a
+        missing ``t_final`` among them; only ``tol`` and ``out`` are checked here."""
         problems = _grid_problems([self.n], [self.half_length])
         # only ADI's checks read the grid, its default one when n or L is invalid
         adi = self.scheme == "adi" and self.model in MODELS and not problems
@@ -113,8 +113,6 @@ class RunConfig:
             problems.append(f"tol must be {bound}, got {self.rel_tol}")
         if self.rel_tol is not None and self.scheme in SCHEMES and self.scheme != "ck45":
             problems.append(f"tol is read only by scheme ck45, not by {self.scheme}")
-        if self.t_final is None:
-            problems.append("t_final is required")
         # config.txt cuts comments at '#', splits lines and strips values
         if self.out and ("#" in self.out or self.out.strip().splitlines() != [self.out]):
             problems.append("out cannot hold '#', a line break or leading or "
@@ -126,8 +124,7 @@ class RunConfig:
 
     def grid(self) -> GridSpec:
         """The concrete grid this config runs on."""
-        spec = get_model(self.model)
-        n0, L0, dims = spec.default_grid_args
+        n0, L0, dims = get_model(self.model).default_grid_args
         return make_grid(self.n if self.n is not None else n0,
                          self.half_length if self.half_length is not None else L0,
                          dims)

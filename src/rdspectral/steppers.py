@@ -185,17 +185,14 @@ def linear_symbol(grid: GridSpec, diffusivities) -> np.ndarray:
 # -- the exponential Runge-Kutta stage loop ---------------------------------------
 
 class _Counted:
-    """A function that counts its calls (``calls``) and the seconds spent in them."""
+    """A function that counts its calls (``calls``)."""
 
     def __init__(self, fn: Callable):
-        self.fn, self.calls, self.seconds = fn, 0, 0.0
+        self.fn, self.calls = fn, 0
 
     def __call__(self, *args):
         self.calls += 1
-        tick = time.perf_counter()
-        out = self.fn(*args)
-        self.seconds += time.perf_counter() - tick
-        return out
+        return self.fn(*args)
 
 
 def _spectral_reaction(model: ModelSpec, grid: GridSpec, p: Mapping[str, float],
@@ -415,24 +412,25 @@ def _run_problems(scheme: str, model: ModelSpec | str, grid: GridSpec | None, *,
                   params: Mapping[str, float] | None = None,
                   start: State | None = None) -> list[str]:
     """Every reason ``integrate`` refuses a run; empty when it can run it.
-    ``model`` is a name or a ModelSpec; an unknown name is one problem and
-    skips the checks that need the model.  A setting left None is not
-    checked, and ``grid`` None is the model's registered grid.  ``start``
-    must be shaped for the model on the grid (ADI reads no uhat), at a
-    finite time and no later than a valid t_final.  Only ADI has limits of
-    its own."""
+    A ``model`` get_model refuses is one problem and skips the checks that
+    need the model.  t_final is required; any other setting left None is
+    not checked, and ``grid`` None is the model's registered grid.  With no
+    ``start``, a grid must be of the model's dimension; a ``start`` must be
+    shaped for the model on the grid (ADI reads no uhat), at a finite time
+    and no later than a valid t_final.  Only ADI has limits of its own."""
     problems = []
     try:
-        spec = get_model(model) if isinstance(model, str) else model
+        spec = get_model(model)
     except ValueError as err:
         spec, problems = None, [str(err)]
     if scheme not in SCHEMES:
         problems.append(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
-    for name, value, nonnegative in (("dt", dt, False), ("t_final", t_final, True)):
+    if t_final is None:
+        problems.append("t_final is required")
+    for name, value, nonnegative in (("dt", dt, False), ("t_final", t_final, True),
+                                     ("snap_every", snap_every, False)):
         if value is not None and (bound := _broken_bound(value, nonnegative)):
             problems.append(f"{name} must be {bound}, got {value}")
-    if snap_every is not None and not snap_every > 0:
-        problems.append(f"snap_every must be positive, got {snap_every}")
     if control is not None and scheme in SCHEMES and scheme != "ck45":
         problems.append(f"a StepControl is read only by scheme ck45, not by {scheme}")
     if spec is None:
@@ -441,6 +439,9 @@ def _run_problems(scheme: str, model: ModelSpec | str, grid: GridSpec | None, *,
         _diffusivities(spec.diffusivities_of(spec.params(params)))
     except ValueError as err:
         problems.append(str(err))
+    if start is None and grid is not None and grid.dims != (dims := spec.default_grid_args[2]):
+        problems.append(f"model {spec.name} starts on a {dims}D grid, got a {grid.dims}D one; "
+                        "pass an initial_state shaped for it")
     if start is not None or scheme == "adi":
         grid = grid if grid is not None else _default_grid(spec)
     if start is not None:
@@ -511,11 +512,12 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
     which removes all aliasing only from a quadratic reaction; ``adi``
     rejects it.  ``sink`` gets the initial state, the state after the
     first step at or past each t0 + k snap_every, and the final state.  Invalid
-    settings (an unknown model, an unknown parameter, a step setting, an
-    ``initial_state`` not shaped for the model on the grid, at a time that
-    is not finite or later than t_final) raise one ValueError naming
-    every problem, before anything is built.  A start whose fields are
-    not finite or exceed the blow-up limit raises BlowUpError.
+    settings (a model get_model refuses, an unknown parameter, no t_final, a
+    step setting out of bounds, a grid not of the model's dimension and no
+    ``initial_state``, or one not shaped for the model on the grid, at a
+    time not finite or after t_final) raise one ValueError naming every
+    problem, before anything is built.  A start whose fields are not finite
+    or exceed the blow-up limit raises BlowUpError.
 
     ADI steps the physical field and returns no uhat, so a step costs no
     transform: the loop transforms only to hand out a State, and hands
@@ -528,7 +530,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
                              params=params, start=initial_state)
     if problems:
         raise ValueError("; ".join(problems))
-    spec = get_model(model) if isinstance(model, str) else model
+    spec = get_model(model)
     if grid is None:
         grid = _default_grid(spec)
     dt = dt if dt is not None else default_timestep(spec, params)
@@ -536,18 +538,20 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
         control = control or StepControl()
     p = spec.params(params)
 
-    dense = None
+    dense_time = 0.0
     if scheme == "adi":
         d = spec.diffusivities_of(p)[0]
         diff = adi.build_diff_matrix(grid.n[0], grid.half_length[0])
         reaction = _Counted(lambda field: spec.rates(field[None], p)[0])
-        dense = _Counted(lambda u, factors: adi.adi_step(u, reaction, factors))
 
         def build(h):
             return diff.factors(h, d)
 
         def step(y, t, h, factors):
-            u = dense(y[0][0], factors)[None]
+            nonlocal dense_time
+            tick = time.perf_counter()
+            u = adi.adi_step(y[0][0], reaction, factors)[None]
+            dense_time += time.perf_counter() - tick
             _check_stage(u, t + h, "adi step")
             return u, None
     else:
@@ -628,7 +632,7 @@ def integrate(model: ModelSpec | str, grid: GridSpec | None = None, *,
         wall_time=wall,
         final_state=emitted,
         dt_history=dt_history,
-        dense_time=dense.seconds if dense is not None else 0.0,
+        dense_time=dense_time,
     )
 
 

@@ -112,6 +112,20 @@ def test_study_names_an_unknown_model_with_the_other_problems():
     assert str(study.value) == str(run.value)
 
 
+def test_study_requires_t_final():
+    with pytest.raises(ValueError) as err:
+        convergence_study("fisher1d", schemes=["rk4"], dts=[0.1], t_final=None)
+    assert str(err.value) == "t_final is required"
+
+
+def test_study_names_a_grid_of_another_dimension_than_the_start():
+    with pytest.raises(ValueError) as err:
+        convergence_study("gray1d", schemes=["rk4", "etdrk4"], dts=[0.1, 0.2], t_final=1.0,
+                          grid=make_grid(16, 50.0, 2))
+    assert str(err.value) == ("model gray1d starts on a 1D grid, got a 2D one; "
+                              "pass an initial_state shaped for it")
+
+
 def test_study_dispatches_adi_and_ck45():
     grid = make_grid(32, 25.0, 2)
     study = convergence_study("fisher2d", schemes=("adi", "rk4"), dts=(0.2,),

@@ -1,7 +1,8 @@
 """Rules on the package's source, read with ``ast``: the modules import one
 another without a cycle (each import a module makes at load time points
 down the layers, never back up), no check is an ``assert``, which
-``python -O`` strips, and ``adi`` takes only the mode numbers from ``grid``."""
+``python -O`` strips, ``adi`` takes only the mode numbers from ``grid``, and
+``models.get_model`` alone tells a model's name from its spec."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,19 @@ def test_adi_imports_nothing_from_the_package_but_the_mode_numbers():
             imported.update((alias.name, None) for alias in node.names
                             if alias.name.startswith("rdspectral"))
     assert imported == {("grid", "_modes")}
+
+
+def test_only_get_model_asks_whether_a_value_is_a_name():
+    # every other function takes a name or a spec through get_model
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node): f.name for f in ast.walk(tree)
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(f)}
+        found += [f"{path.stem}.{inside.get(id(node), '<module>')}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2
+                  and isinstance(node.args[1], ast.Name) and node.args[1].id == "str"]
+    assert found and all(where.startswith("models.get_model:") for where in found), found

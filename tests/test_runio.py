@@ -121,6 +121,12 @@ def test_validate_collects_all_field_problems():
     assert "t_final is required" in joined
 
 
+def test_validate_names_a_model_that_is_not_a_name():
+    assert RunConfig(model=None, t_final=1.0).validate() == [
+        "unknown model None; valid models: auto, epidemic, fisher1d, fisher2d, gray1d, "
+        "gray2d, labyrinthe2d"]
+
+
 def test_validate_adi_requires_fisher2d():
     bad = RunConfig(model="gray1d", scheme="adi", t_final=1.0)
     assert bad.validate() == [

@@ -384,6 +384,41 @@ def test_integrate_names_an_unknown_model_with_the_other_problems():
         "gray2d, labyrinthe2d; "
         "unknown scheme 'euler'; valid schemes: rk4, ck45, etdrk4, etdrk4b, adi; "
         "dt must be positive, got -1")
+    # a value that is neither a name nor a ModelSpec is refused the same way
+    for model in (None, ["gray1d"]):
+        with pytest.raises(ValueError) as excinfo:
+            integrate(model, scheme="rk4", dt=-1, t_final=1)
+        assert str(excinfo.value) == (
+            f"unknown model {model!r}; valid models: auto, epidemic, fisher1d, fisher2d, "
+            "gray1d, gray2d, labyrinthe2d; dt must be positive, got -1")
+
+
+def test_integrate_requires_t_final():
+    with pytest.raises(ValueError) as excinfo:
+        integrate("fisher1d", make_grid(16, 5.0, 1), scheme="rk4", dt=-1, t_final=None)
+    assert str(excinfo.value) == "t_final is required; dt must be positive, got -1"
+
+
+@pytest.mark.parametrize("model, dims, problem", [
+    ("fisher2d", 1, "model fisher2d starts on a 2D grid, got a 1D one"),
+    ("gray1d", 2, "model gray1d starts on a 1D grid, got a 2D one"),
+    ("fisher1d", 2, "model fisher1d starts on a 1D grid, got a 2D one"),
+])
+def test_integrate_names_a_grid_of_another_dimension_than_the_start(model, dims, problem):
+    scheme = "adi" if model == "fisher1d" else "rk4"  # ADI runs fisher1d's kinetics in 2D
+    with pytest.raises(ValueError) as excinfo:
+        integrate(model, make_grid(16, 5.0, dims), scheme=scheme, dt=-1, t_final=0.2)
+    assert str(excinfo.value) == (
+        f"dt must be positive, got -1; {problem}; pass an initial_state shaped for it")
+
+
+def test_a_start_shaped_for_the_grid_runs_any_kinetics_on_it():
+    # the dimension rule is the default start's: 1D kinetics on a 2D start run
+    grid = make_grid(16, 50.0, 2)
+    start = state_from_physical(grid, [np.full(grid.shape, 0.5), np.full(grid.shape, 0.25)])
+    summary = integrate("gray1d", grid, scheme="rk4", dt=0.1, t_final=0.3, initial_state=start)
+    assert summary.final_state.u.shape == (2, 16, 16)
+    assert summary.accepted == 3
 
 
 def test_integrate_names_an_unknown_parameter_with_the_other_problems():
@@ -496,6 +531,7 @@ def test_a_start_at_a_time_that_is_not_finite_is_refused(t):
     ({"t_final": np.nan}, "t_final must be nonnegative, got nan"),
     ({"t_final": np.inf}, "t_final must be finite, got inf"),
     ({"snap_every": np.nan}, "snap_every must be positive, got nan"),
+    ({"snap_every": np.inf}, "snap_every must be finite, got inf"),
 ])
 def test_integrate_rejects_non_finite_inputs(given, problem):
     kwargs = {"dt": 0.1, "t_final": 1.0, **given}
